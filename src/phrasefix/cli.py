@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import evaluation, lm as lm_mod, phrase_index
-from .corrector import correct_dp, correct_fixed
+from .corrector import CorrectionResult, correct_dp, correct_fixed
 from .distance import DistanceConfig
 from .lexicon import SynonymLexicon, load_lexicon
 from .substituter import SubstituterConfig
@@ -31,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_sentences(path):
     with open(path, encoding="utf-8") as fh:
-        return [lm_mod.tokenize(line) for line in fh if line.strip()]
+        return [lm_mod.tokenize(line) for line in fh]
 
 
 def _open_out(path):
@@ -89,23 +89,24 @@ def cmd_correct(args) -> int:
     else:
         lexicon = SynonymLexicon()
 
+    index = phrase_index.load_index(args.index)
+    if args.algorithm == "dp":
+        config = SubstituterConfig(
+            k=args.k, t_pool=args.t_pool,
+            distance=DistanceConfig(mode=args.mode, d_t=args.d_t))
+        cache: dict = {}
+
+        def correct(sent):
+            return correct_dp(sent, index, model, lexicon, config, sub_cache=cache)
+    else:
+        def correct(sent):
+            return correct_fixed(sent, model, index, phrase_len=args.phrase_len)
+
     with _open_out(args.out) as fh:
-        if args.algorithm == "dp":
-            index = phrase_index.load_index(args.index)
-            config = SubstituterConfig(
-                k=args.k, t_pool=args.t_pool,
-                distance=DistanceConfig(mode=args.mode, d_t=args.d_t))
-            cache: dict = {}
-            for sent in sentences:
-                result = correct_dp(sent, index, model, lexicon, config,
-                                    sub_cache=cache)
-                fh.write(json.dumps(result.to_record()) + "\n")
-        else:
-            docs = phrase_index.load_index(args.index).docs
-            for sent in sentences:
-                result = correct_fixed(sent, model, docs,
-                                       phrase_len=args.phrase_len)
-                fh.write(json.dumps(result.to_record()) + "\n")
+        for sent in sentences:
+            # a line without words passes through, keeping records line-aligned
+            result = correct(sent) if sent else CorrectionResult((), (), 0.0, 0.0, [], {})
+            fh.write(json.dumps(result.to_record()) + "\n")
     return EXIT_OK
 
 

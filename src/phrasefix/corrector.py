@@ -8,8 +8,9 @@ from typing import Callable, Sequence
 
 from .lexicon import SynonymLexicon
 from .lm import LanguageModel
-from .phrase_index import PhraseDoc, PhraseIndex
-from .substituter import ScoredPhrase, SubstituterConfig, find_best_sub, find_k_best_common
+from .phrase_index import PhraseIndex
+from .substituter import (ScoredPhrase, SubstituterConfig, find_best_sub,
+                          find_k_best_common, top_k)
 
 
 @dataclass
@@ -47,10 +48,7 @@ def cross_concat(left: Sequence[ScoredPhrase], right: Sequence[ScoredPhrase],
 def combine_cells(left: Sequence[ScoredPhrase], right: Sequence[ScoredPhrase],
                   lm: LanguageModel, k: int) -> list[ScoredPhrase]:
     """Concatenate two candidate lists pairwise, rescore whole, keep top k."""
-    merged: dict[tuple[str, ...], ScoredPhrase] = {}
-    for cand in cross_concat(left, right, lm.score_sequence):
-        merged.setdefault(cand.tokens, cand)
-    return sorted(merged.values(), key=lambda c: (-c.score, c.tokens))[:k]
+    return top_k(cross_concat(left, right, lm.score_sequence), k)
 
 
 def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
@@ -99,14 +97,11 @@ def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            pool = {c.tokens: c for c in sub[(i, j)]}
+            pool = list(sub[(i, j)])
             for m in range(i, j):
                 stats["split_evals"] += 1
-                for cand in cross_concat(rep[(i, m)], rep[(m + 1, j)], score):
-                    if cand.tokens not in pool:
-                        pool[cand.tokens] = cand
-            rep[(i, j)] = sorted(pool.values(),
-                                 key=lambda c: (-c.score, c.tokens))[:config.k]
+                pool.extend(cross_concat(rep[(i, m)], rep[(m + 1, j)], score))
+            rep[(i, j)] = top_k(pool, config.k)
 
     kbest = rep[(0, n - 1)]
     best = kbest[0]
@@ -115,7 +110,7 @@ def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
 
 
 def correct_fixed(sentence: Sequence[str], lm: LanguageModel,
-                  docs: Sequence[PhraseDoc], phrase_len: int = 7,
+                  index: PhraseIndex, phrase_len: int = 7,
                   candidate_cap: int = 10) -> CorrectionResult:
     """Fixed-length baseline: split into consecutive phrases of
     ``phrase_len`` words, search each phrase recursively over overlapping
@@ -140,7 +135,7 @@ def correct_fixed(sentence: Sequence[str], lm: LanguageModel,
         if len(piece) < phrase_len:
             pieces.append(piece)
             continue
-        best_sub, changed = _best_phrase_sub(piece, lm, docs, n, candidate_cap)
+        best_sub, changed = _best_phrase_sub(piece, lm, index, n, candidate_cap)
         substituted_any = substituted_any or changed
         pieces.append(best_sub)
 
@@ -158,7 +153,7 @@ def correct_fixed(sentence: Sequence[str], lm: LanguageModel,
                             [ScoredPhrase(tokens, score_before)], stats)
 
 
-def _best_phrase_sub(piece, lm, docs, n, cap):
+def _best_phrase_sub(piece, lm, index, n, cap):
     """Recursive window substitution search over one fixed-length phrase."""
     best = [piece, lm.score_sequence(piece)]
 
@@ -169,7 +164,7 @@ def _best_phrase_sub(piece, lm, docs, n, cap):
                 best[0], best[1] = cur, s
             return
         window = cur[start:start + n]
-        for x in find_k_best_common(docs, window)[:cap]:
+        for x in find_k_best_common(index, window)[:cap]:
             compute_sub(cur[:start] + x + cur[start + n:], start + 1)
 
     compute_sub(piece, 0)

@@ -230,22 +230,20 @@ def train_counts(corpus: Iterable[Iterable[str]], order: int,
         for gram, c in counts[n].items():
             followers[gram[:-1]][gram[-1]] += c
 
-    prob: dict[tuple[str, ...], float] = {}
-    for n in range(1, order + 1):
-        for gram, c in counts[n].items():
-            ctx = followers[gram[:-1]]
-            prob[gram] = c / (sum(ctx.values()) + len(ctx))
+    # c(h) + T(h) per history h: P(w|h) = c(h,w) / mass[h]
+    mass = {h: sum(ctx.values()) + len(ctx) for h, ctx in followers.items()}
 
     tables: dict[int, dict[tuple[str, ...], NgramEntry]] = {}
     for n in range(1, order + 1):
         table = {}
-        for gram in counts[n]:
+        for gram, c in counts[n].items():
             backoff = 0.0
             if n < order and gram in followers:
                 ctx = followers[gram]
-                held_out = len(ctx) / (sum(ctx.values()) + len(ctx))
-                seen_lower = sum(prob[gram[1:] + (w,)] for w in ctx)
+                held_out = len(ctx) / mass[gram]
+                lower = gram[1:]
+                seen_lower = sum(counts[n][lower + (w,)] / mass[lower] for w in ctx)
                 backoff = math.log10(held_out / (1.0 - seen_lower))
-            table[gram] = NgramEntry(gram, math.log10(prob[gram]), backoff)
+            table[gram] = NgramEntry(gram, math.log10(c / mass[gram[:-1]]), backoff)
         tables[n] = table
     return LanguageModel(order, tables)

@@ -4,7 +4,7 @@ with sorted postings lists answers retrieval queries."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .distance import levenshtein
@@ -88,56 +88,6 @@ class TrieDictionary:
         return results
 
 
-class MergeCounter:
-    """Tally of docid comparisons spent in postings unions."""
-
-    __slots__ = ("comparisons",)
-
-    def __init__(self):
-        self.comparisons = 0
-
-
-def _merge_two(a: list[int], b: list[int], counter: MergeCounter) -> list[int]:
-    out: list[int] = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        counter.comparisons += 1
-        x, y = a[i], b[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif x > y:
-            out.append(y)
-            j += 1
-        else:
-            out.append(x)
-            i += 1
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
-def union_postings(lists: Sequence[list[int]],
-                   counter: MergeCounter | None = None) -> list[int]:
-    """Deduplicating k-way union by rounds of pairwise linear merges, so the
-    comparison count is bounded by total length times ceil(log2 k)."""
-    if counter is None:
-        counter = MergeCounter()
-    work = [list(lst) for lst in lists if lst]
-    if not work:
-        return []
-    while len(work) > 1:
-        merged = []
-        for i in range(0, len(work) - 1, 2):
-            merged.append(_merge_two(work[i], work[i + 1], counter))
-        if len(work) % 2:
-            merged.append(work[-1])
-        work = merged
-    return work[0]
-
-
 def extract_phrases(lm: LanguageModel, orders: Iterable[int]) -> list[PhraseDoc]:
     """One PhraseDoc per stored n-gram of a selected order, scored by the LM."""
     chosen = sorted(set(orders))
@@ -174,8 +124,7 @@ class PhraseIndex:
             self._expansion_cache[key] = hit
         return hit
 
-    def retrieve(self, query: Sequence[str], d_t: int,
-                 counter: MergeCounter | None = None) -> list[int]:
+    def retrieve(self, query: Sequence[str], d_t: int) -> list[int]:
         """Sorted union of the postings of every fuzzy expansion of every
         query word (the Out_q docid list)."""
         if not query:
@@ -183,19 +132,28 @@ class PhraseIndex:
         words: set[str] = set()
         for q in set(query):
             words |= self.expand_query_word(q, d_t)
-        return union_postings([self.postings[w] for w in sorted(words)], counter)
+        return sorted(set().union(*(self.postings[w] for w in words)))
 
 
 def build_index(docs: Sequence[PhraseDoc]) -> PhraseIndex:
-    if sorted(d.docid for d in docs) != list(range(len(docs))):
-        raise ValueError("docids must be dense 0..M-1 without duplicates")
-    by_word: dict[str, set[int]] = {}
-    for doc in docs:
+    """Index ``docs``, whose docids must be their positions 0..M-1.
+
+    Docs are visited in docid order, so each postings list is built sorted
+    and duplicate-free by appending a docid unless it is already last.
+    """
+    postings: dict[str, list[int]] = {}
+    for i, doc in enumerate(docs):
+        if doc.docid != i:
+            raise ValueError(f"doc at position {i} has docid {doc.docid}; "
+                             "docids must be 0..M-1 in order")
         if not doc.tokens:
             raise ValueError(f"doc {doc.docid} has no tokens")
         for word in doc.tokens:
-            by_word.setdefault(word, set()).add(doc.docid)
-    postings = {w: sorted(ids) for w, ids in by_word.items()}
+            ids = postings.get(word)
+            if ids is None:
+                postings[word] = [i]
+            elif ids[-1] != i:
+                ids.append(i)
     return PhraseIndex(list(docs), TrieDictionary(postings), postings)
 
 
@@ -204,6 +162,14 @@ _VERSION = "1"
 
 
 def save_index(index: PhraseIndex, path):
+    """Write the index in format v1: a header, the docs section, then the
+    postings section.
+
+    The postings are derived data: ``load_index`` ignores them and rebuilds
+    them from the docs. They are still written because the format-v1 reader
+    of the benchmark (``perfbench/checks.py``) requires the section; dropping
+    it is a format change (v2) that waits for that reader to change.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_MAGIC}\t{_VERSION}\n")
         fh.write(f"docs\t{len(index.docs)}\n")
@@ -216,6 +182,8 @@ def save_index(index: PhraseIndex, path):
 
 
 def load_index(path) -> PhraseIndex:
+    """Read the docs section of an index file and index them with
+    ``build_index``; the stored postings are not read."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[:1] != [_MAGIC] or len(header) != 2 or header[1] != _VERSION:
@@ -227,11 +195,6 @@ def load_index(path) -> PhraseIndex:
         for _ in range(int(count)):
             docid, score, tokens = fh.readline().rstrip("\n").split("\t")
             docs.append(PhraseDoc(int(docid), tuple(tokens.split()), float(score)))
-        kind, count = fh.readline().rstrip("\n").split("\t")
-        if kind != "postings":
+        if not fh.readline().startswith("postings\t"):
             raise ValueError(f"{path}: malformed postings header")
-        postings = {}
-        for _ in range(int(count)):
-            word, ids = fh.readline().rstrip("\n").split("\t")
-            postings[word] = [int(i) for i in ids.split()]
-    return PhraseIndex(docs, TrieDictionary(postings), postings)
+    return build_index(docs)

@@ -3,8 +3,9 @@ two-common-words heuristic of the fixed-length baseline."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .distance import REJECT, DistanceConfig, combined_score
 from .lexicon import SynonymLexicon
@@ -50,18 +51,27 @@ def find_best_sub(index: PhraseIndex, lm: LanguageModel, lexicon: SynonymLexicon
             continue
         scored.append((s, doc))
     scored.sort(key=lambda item: (-item[0], item[1].tokens))
-    pool = {doc.tokens: ScoredPhrase(doc.tokens, doc.lm_score)
-            for _, doc in scored[:config.t_pool]}
-    if config.include_identity and query not in pool:
-        pool[query] = ScoredPhrase(query, lm.score_sequence(query))
-    ranked = sorted(pool.values(), key=lambda c: (-c.score, c.tokens))
-    return ranked[:config.k]
+    pool = [ScoredPhrase(doc.tokens, doc.lm_score) for _, doc in scored[:config.t_pool]]
+    if config.include_identity and query not in {c.tokens for c in pool}:
+        pool.append(ScoredPhrase(query, lm.score_sequence(query)))
+    return top_k(pool, config.k)
 
 
-def find_k_best_common(docs: Sequence[PhraseDoc],
+def top_k(candidates: Iterable[ScoredPhrase], k: int) -> list[ScoredPhrase]:
+    """The k best candidates by descending score, ties broken by tokens.
+    Of candidates with the same tokens only the first one counts."""
+    unique: dict[tuple[str, ...], ScoredPhrase] = {}
+    for cand in candidates:
+        unique.setdefault(cand.tokens, cand)
+    return sorted(unique.values(), key=lambda c: (-c.score, c.tokens))[:k]
+
+
+def find_k_best_common(index: PhraseIndex,
                        phrase: Sequence[str]) -> list[tuple[str, ...]]:
-    """All stored phrases sharing at least two word types with ``phrase``."""
-    words = set(phrase)
-    if len(tuple(phrase)) < 2:
-        return []
-    return [doc.tokens for doc in docs if len(words & set(doc.tokens)) >= 2]
+    """All stored phrases sharing at least two word types with ``phrase``,
+    in docid order."""
+    hits: Counter[int] = Counter()
+    for word in set(phrase):
+        hits.update(index.postings.get(word, ()))
+    return [index.docs[docid].tokens
+            for docid in sorted(docid for docid, n in hits.items() if n >= 2)]

@@ -122,10 +122,9 @@ def test_never_worse_with_strict_improvement(synth_lm, synth_index, noisy_suite)
 def test_fixed_baseline_null_behavior(synth_lm, synth_index, noisy_suite):
     with criterion("fixed baseline never lowers score; guard matches "
                    "no-candidate windows"):
-        docs = synth_index.docs
         n = synth_lm.order
         for sentence in noisy_suite:
-            result = correct_fixed(sentence, synth_lm, docs, phrase_len=7)
+            result = correct_fixed(sentence, synth_lm, synth_index, phrase_len=7)
             assert result.score_after >= result.score_before
             has_candidate = False
             for start in range(0, len(sentence), 7):
@@ -133,7 +132,7 @@ def test_fixed_baseline_null_behavior(synth_lm, synth_index, noisy_suite):
                 if len(piece) < 7:
                     continue
                 for w in range(len(piece) - n + 1):
-                    if find_k_best_common(docs, piece[w:w + n]):
+                    if find_k_best_common(synth_index, piece[w:w + n]):
                         has_candidate = True
             if not has_candidate:
                 assert result.stats["guard_triggered"]

@@ -134,6 +134,54 @@ class TestCorrect:
         assert main(["correct", "--in", str(corpus), "--lm", str(arpa),
                      "--index", str(bad)]) == 2
 
+    def build(self, tmp, corpus):
+        arpa, idx = tmp / "m.arpa", tmp / "p.idx"
+        main(["train-lm", "--corpus", str(corpus), "--order", "2", "--out", str(arpa)])
+        main(["build-index", "--lm", str(arpa), "--out", str(idx)])
+        return arpa, idx
+
+    def correct(self, tmp, arpa, idx, lines, algorithm="dp"):
+        inp, out = tmp / "in.txt", tmp / "out.jsonl"
+        inp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        code = main(["correct", "--in", str(inp), "--lm", str(arpa), "--index", str(idx),
+                     "--algorithm", algorithm, "--k", "3", "--t-pool", "50",
+                     "--d-t", "2", "--out", str(out)])
+        records = [json.loads(line) for line in out.read_text().splitlines()] \
+            if out.exists() else []
+        return code, records
+
+    @pytest.mark.parametrize("algorithm", ["dp", "fixed"])
+    @pytest.mark.parametrize("middle", ["!!!", ""])
+    def test_wordless_line_gives_pass_through_record(self, workspace, algorithm, middle):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        first, last = " ".join(sentences[0][:4]), " ".join(sentences[1][:4])
+        code, records = self.correct(tmp, arpa, idx, [first, middle, last], algorithm)
+        assert code == 0
+        assert [r["original"] for r in records] == [first, "", last]
+        assert records[1] == {"original": "", "corrected": "", "score_before": 0.0,
+                              "score_after": 0.0, "kbest": [], "stats": {}}
+
+    def test_bad_stored_postings_are_ignored(self, workspace):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        sentence = " ".join(sentences[0][:4])
+        code, clean = self.correct(tmp, arpa, idx, [sentence])
+        assert code == 0 and clean
+        word = sentences[0][0]
+        lines = [ln + " 999999" if ln.startswith(word + "\t") else ln
+                 for ln in idx.read_text().splitlines()]
+        idx.write_text("\n".join(lines) + "\n")
+        assert self.correct(tmp, arpa, idx, [sentence]) == (0, clean)
+
+    def test_out_of_order_doc_line_is_data_error(self, workspace):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        lines = idx.read_text().splitlines(keepends=True)
+        lines[2], lines[3] = lines[3], lines[2]  # the first two doc lines
+        idx.write_text("".join(lines))
+        assert self.correct(tmp, arpa, idx, [" ".join(sentences[0][:4])])[0] == 2
+
     def test_unknown_algorithm_is_usage_error(self, workspace):
         tmp, corpus, _ = workspace
         assert main(["correct", "--in", str(corpus), "--lm", "x", "--index", "y",

@@ -178,23 +178,23 @@ class TestCorrectFixed:
         lm = train_counts(corpus, 2)
         phrases = [("aa", "bb"), ("bb", "cc"), ("cc", "dd"), ("dd", "cc"), ("bb", "dd")]
         docs = [PhraseDoc(i, p, lm.score_sequence(p)) for i, p in enumerate(phrases)]
-        return lm, docs
+        return lm, build_index(docs)
 
     def test_no_candidates_triggers_identity_guard(self):
         lm = train_counts([("aa", "bb", "cc", "dd")] * 3, 2)
-        result = correct_fixed(("aa", "bb", "cc", "dd"), lm, [], phrase_len=4)
+        result = correct_fixed(("aa", "bb", "cc", "dd"), lm, build_index([]), phrase_len=4)
         assert result.corrected == result.original
         assert result.stats["guard_triggered"]
         assert result.score_after == result.score_before
 
     def test_improving_chain_found(self):
-        lm, docs = self.chain_setup()
-        result = correct_fixed(("aa", "bb", "cc", "dd"), lm, docs, phrase_len=4)
+        lm, index = self.chain_setup()
+        result = correct_fixed(("aa", "bb", "cc", "dd"), lm, index, phrase_len=4)
         assert result.corrected == ("aa", "bb", "dd", "cc")
         assert result.score_after > result.score_before
 
     def test_matches_exhaustive_path_enumeration(self):
-        lm, docs = self.chain_setup()
+        lm, index = self.chain_setup()
         phrase = ("aa", "bb", "cc", "dd")
         n = lm.order
 
@@ -205,19 +205,19 @@ class TestCorrectFixed:
                 variants.add(cur)
                 return
             window = cur[start:start + n]
-            for sub in find_k_best_common(docs, window):
+            for sub in find_k_best_common(index, window):
                 walk(cur[:start] + sub + cur[start + n:], start + 1)
 
         walk(phrase, 0)
         assert variants == {("aa", "bb", "cc", "dd"), ("aa", "bb", "dd", "cc")}
         best = max(variants, key=lm.score_sequence)
-        result = correct_fixed(phrase, lm, docs, phrase_len=4)
+        result = correct_fixed(phrase, lm, index, phrase_len=4)
         assert result.corrected == best
 
     def test_short_remainder_passes_through(self):
-        lm, docs = self.chain_setup()
+        lm, index = self.chain_setup()
         sentence = ("aa", "bb", "cc", "dd", "aa", "bb")
-        result = correct_fixed(sentence, lm, docs, phrase_len=4)
+        result = correct_fixed(sentence, lm, index, phrase_len=4)
         assert result.corrected[-2:] == ("aa", "bb")
 
     def test_never_worse(self):
@@ -226,12 +226,12 @@ class TestCorrectFixed:
             vocab = [random_word(rng, 2, 4) for _ in range(6)]
             corpus = [tuple(rng.choice(vocab) for _ in range(5)) for _ in range(6)]
             lm = train_counts(corpus, 2)
-            docs = extract_phrases(lm, {2})
+            index = build_index(extract_phrases(lm, {2}))
             sentence = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 9)))
-            result = correct_fixed(sentence, lm, docs, phrase_len=4)
+            result = correct_fixed(sentence, lm, index, phrase_len=4)
             assert result.score_after >= result.score_before
 
     def test_phrase_len_below_order_rejected(self):
-        lm, docs = self.chain_setup()
+        lm, index = self.chain_setup()
         with pytest.raises(ValueError):
-            correct_fixed(("aa", "bb"), lm, docs, phrase_len=1)
+            correct_fixed(("aa", "bb"), lm, index, phrase_len=1)

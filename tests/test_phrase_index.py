@@ -1,10 +1,9 @@
-import math
 import random
 
 import pytest
 
 from phrasefix import build_index, extract_phrases, levenshtein, load_index, save_index, train_counts
-from phrasefix.phrase_index import MergeCounter, PhraseDoc, TrieDictionary, union_postings
+from phrasefix.phrase_index import PhraseDoc, TrieDictionary
 
 from conftest import random_word
 
@@ -52,6 +51,12 @@ class TestBuildIndex:
 
     def test_duplicate_docid_rejected(self):
         docs = [PhraseDoc(0, ("a",), 0.0), PhraseDoc(0, ("b",), 0.0)]
+        with pytest.raises(ValueError):
+            build_index(docs)
+
+    def test_permuted_docids_rejected(self):
+        # docids are looked up as positions in index.docs
+        docs = [PhraseDoc(1, ("a",), 0.0), PhraseDoc(0, ("b",), 0.0)]
         with pytest.raises(ValueError):
             build_index(docs)
 
@@ -140,24 +145,6 @@ class TestRetrieve:
                 prev = out
 
 
-class TestUnion:
-    def test_union_and_comparison_bound(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            m = rng.randint(1, 8)
-            lists = [sorted(rng.sample(range(60), rng.randint(0, 20))) for _ in range(m)]
-            counter = MergeCounter()
-            merged = union_postings(lists, counter)
-            assert merged == sorted(set().union(*map(set, lists)))
-            total = sum(len(lst) for lst in lists)
-            nonempty = max(1, sum(1 for lst in lists if lst))
-            assert counter.comparisons <= total * math.ceil(math.log2(nonempty) or 1)
-
-    def test_empty(self):
-        assert union_postings([]) == []
-        assert union_postings([[], []]) == []
-
-
 class TestPersistence:
     def test_round_trip_retrieval_identical(self, tmp_path):
         rng = random.Random(31)
@@ -172,6 +159,18 @@ class TestPersistence:
         for _ in range(10):
             query = tuple(rng.choice(vocab) for _ in range(2))
             assert loaded.retrieve(query, 3) == index.retrieve(query, 3)
+
+    def test_stored_postings_are_not_trusted(self, tmp_path):
+        index = build_index(make_docs(["a b", "b c", "c d"]))
+        path = tmp_path / "phrases.idx"
+        save_index(index, path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines = [ln.rstrip("\n") + " 999999\n" if ln.startswith("b\t") else ln
+                 for ln in lines]
+        path.write_text("".join(lines))
+        loaded = load_index(path)
+        assert loaded.postings == index.postings
+        assert loaded.retrieve(("b",), 2) == index.retrieve(("b",), 2)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk"

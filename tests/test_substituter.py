@@ -137,17 +137,17 @@ class TestFindKBestCommon:
         return [PhraseDoc(i, tuple(p.split()), 0.0) for i, p in enumerate(phrases)]
 
     def test_direct_set_logic(self):
-        docs = self.make_docs(["a b", "a x", "b c y"])
-        got = find_k_best_common(docs, ("a", "b", "c"))
+        index = build_index(self.make_docs(["a b", "a x", "b c y"]))
+        got = find_k_best_common(index, ("a", "b", "c"))
         assert got == [("a", "b"), ("b", "c", "y")]
 
     def test_no_shared_pair_gives_empty(self):
-        docs = self.make_docs(["x y", "z w"])
-        assert find_k_best_common(docs, ("a", "b")) == []
+        index = build_index(self.make_docs(["x y", "z w"]))
+        assert find_k_best_common(index, ("a", "b")) == []
 
     def test_short_phrase_gives_empty(self):
-        docs = self.make_docs(["a b"])
-        assert find_k_best_common(docs, ("a",)) == []
+        index = build_index(self.make_docs(["a b"]))
+        assert find_k_best_common(index, ("a",)) == []
 
     def test_matches_brute_force(self):
         rng = random.Random(55)
@@ -155,8 +155,9 @@ class TestFindKBestCommon:
         docs = self.make_docs(
             [" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
              for _ in range(30)])
+        index = build_index(docs)
         for _ in range(30):
             phrase = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 4)))
             expected = [d.tokens for d in docs
                         if len(set(phrase) & set(d.tokens)) >= 2]
-            assert find_k_best_common(docs, phrase) == expected
+            assert find_k_best_common(index, phrase) == expected
