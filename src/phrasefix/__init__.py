@@ -1,7 +1,7 @@
 """Monolingual noisy-sentence correction with an n-gram language model."""
 
-from .corrector import CorrectionResult, combine_cells, correct_dp, correct_fixed
-from .distance import REJECT, DistanceConfig, combined_score, levenshtein
+from .corrector import CorrectionResult, correct_dp, correct_fixed
+from .distance import REJECT, combined_score, levenshtein
 from .evaluation import NoiseSpec, bleu, corpus_perplexity, inject_noise, modified_precision
 from .lexicon import SynonymLexicon, load_lexicon
 from .lm import LanguageModel, parse_arpa, serialize_arpa, tokenize, train_counts
@@ -9,8 +9,8 @@ from .phrase_index import PhraseIndex, build_index, extract_phrases, load_index,
 from .substituter import ScoredPhrase, SubstituterConfig, find_best_sub, find_k_best_common
 
 __all__ = [
-    "CorrectionResult", "combine_cells", "correct_dp", "correct_fixed",
-    "REJECT", "DistanceConfig", "combined_score", "levenshtein",
+    "CorrectionResult", "correct_dp", "correct_fixed",
+    "REJECT", "combined_score", "levenshtein",
     "NoiseSpec", "bleu", "corpus_perplexity", "inject_noise", "modified_precision",
     "SynonymLexicon", "load_lexicon",
     "LanguageModel", "parse_arpa", "serialize_arpa", "tokenize", "train_counts",

@@ -13,7 +13,7 @@ import sys
 
 from . import evaluation, lm as lm_mod, phrase_index
 from .corrector import CorrectionResult, correct_dp, correct_fixed
-from .distance import DistanceConfig
+from .distance import MODES
 from .lexicon import SynonymLexicon, load_lexicon
 from .substituter import SubstituterConfig
 
@@ -79,9 +79,22 @@ def cmd_inject_noise(args) -> int:
     return EXIT_OK
 
 
+def _usage_error(message) -> int:
+    print(f"phrasefix: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_correct(args) -> int:
+    try:
+        config = SubstituterConfig(k=args.k, t_pool=args.t_pool, mode=args.mode,
+                                   d_t=args.d_t)
+    except ValueError as exc:
+        return _usage_error(exc)
     with open(args.lm, encoding="utf-8") as fh:
         model = lm_mod.parse_arpa(fh)
+    if args.algorithm == "fixed" and args.phrase_len < model.order:
+        return _usage_error(f"--phrase-len {args.phrase_len} is below the model "
+                            f"order {model.order}")
     sentences = _read_sentences(args.input)
     if args.lexicon:
         with open(args.lexicon, encoding="utf-8") as fh:
@@ -91,9 +104,6 @@ def cmd_correct(args) -> int:
 
     index = phrase_index.load_index(args.index)
     if args.algorithm == "dp":
-        config = SubstituterConfig(
-            k=args.k, t_pool=args.t_pool,
-            distance=DistanceConfig(mode=args.mode, d_t=args.d_t))
         cache: dict = {}
 
         def correct(sent):
@@ -173,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--lexicon", default=None)
     p.add_argument("--algorithm", choices=("dp", "fixed"), default="dp")
-    p.add_argument("--mode", choices=("A", "B", "C", "D"), default="C")
+    p.add_argument("--mode", choices=MODES, default="C")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--t-pool", type=int, default=200)
     p.add_argument("--d-t", type=int, default=3)

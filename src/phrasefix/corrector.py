@@ -12,6 +12,9 @@ from .phrase_index import PhraseIndex
 from .substituter import (ScoredPhrase, SubstituterConfig, find_best_sub,
                           find_k_best_common, top_k)
 
+# two-common-word candidates tried per window by the fixed-length baseline
+CANDIDATE_CAP = 10
+
 
 @dataclass
 class CorrectionResult:
@@ -43,12 +46,6 @@ def cross_concat(left: Sequence[ScoredPhrase], right: Sequence[ScoredPhrase],
             tokens = a.tokens + b.tokens
             out.append(ScoredPhrase(tokens, score_fn(tokens)))
     return out
-
-
-def combine_cells(left: Sequence[ScoredPhrase], right: Sequence[ScoredPhrase],
-                  lm: LanguageModel, k: int) -> list[ScoredPhrase]:
-    """Concatenate two candidate lists pairwise, rescore whole, keep top k."""
-    return top_k(cross_concat(left, right, lm.score_sequence), k)
 
 
 def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
@@ -110,16 +107,15 @@ def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
 
 
 def correct_fixed(sentence: Sequence[str], lm: LanguageModel,
-                  index: PhraseIndex, phrase_len: int = 7,
-                  candidate_cap: int = 10) -> CorrectionResult:
+                  index: PhraseIndex, phrase_len: int = 7) -> CorrectionResult:
     """Fixed-length baseline: split into consecutive phrases of
     ``phrase_len`` words, search each phrase recursively over overlapping
     order-n windows of two-common-word candidates, then keep the rebuilt
     sentence only if it outscores the original.
 
     A trailing phrase shorter than ``phrase_len`` passes through unchanged.
-    Candidate lists per window are capped to keep the exponential recursion
-    runnable.
+    Candidate lists per window are capped at CANDIDATE_CAP to keep the
+    exponential recursion runnable.
     """
     tokens = tuple(sentence)
     if not tokens:
@@ -135,14 +131,14 @@ def correct_fixed(sentence: Sequence[str], lm: LanguageModel,
         if len(piece) < phrase_len:
             pieces.append(piece)
             continue
-        best_sub, changed = _best_phrase_sub(piece, lm, index, n, candidate_cap)
+        best_sub, changed = _best_phrase_sub(piece, lm, index, n)
         substituted_any = substituted_any or changed
         pieces.append(best_sub)
 
     rebuilt = tuple(w for piece in pieces for w in piece)
     score_before = lm.score_sequence(tokens)
     score_after = lm.score_sequence(rebuilt) if rebuilt != tokens else score_before
-    stats = {"candidate_cap": candidate_cap, "phrase_len": phrase_len,
+    stats = {"candidate_cap": CANDIDATE_CAP, "phrase_len": phrase_len,
              "substituted_any": substituted_any}
     if rebuilt != tokens and score_after > score_before:
         stats["guard_triggered"] = False
@@ -153,7 +149,7 @@ def correct_fixed(sentence: Sequence[str], lm: LanguageModel,
                             [ScoredPhrase(tokens, score_before)], stats)
 
 
-def _best_phrase_sub(piece, lm, index, n, cap):
+def _best_phrase_sub(piece, lm, index, n):
     """Recursive window substitution search over one fixed-length phrase."""
     best = [piece, lm.score_sequence(piece)]
 
@@ -164,7 +160,7 @@ def _best_phrase_sub(piece, lm, index, n, cap):
                 best[0], best[1] = cur, s
             return
         window = cur[start:start + n]
-        for x in find_k_best_common(index, window)[:cap]:
+        for x in find_k_best_common(index, window)[:CANDIDATE_CAP]:
             compute_sub(cur[:start] + x + cur[start + n:], start + 1)
 
     compute_sub(piece, 0)

@@ -1,5 +1,6 @@
 """Word- and phrase-level similarity: Levenshtein, greedy word alignment,
-orthographic / synset / word-order components and their weighted combination.
+orthographic / synset / word-order components and their equally weighted
+combination.
 
 All components are similarities in [0, 1], higher is better. Word-order
 violations under rigid mode yield the REJECT sentinel instead of a score.
@@ -7,7 +8,6 @@ violations under rigid mode yield the REJECT sentinel instead of a score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -24,6 +24,8 @@ class _RejectType:
 REJECT = _RejectType()
 
 MODES = ("A", "B", "C", "D")
+# two aligned words must be at Levenshtein distance below this
+ALIGN_THRESHOLD = 3
 
 
 @lru_cache(maxsize=None)
@@ -130,53 +132,23 @@ def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str], mode: str,
     raise ValueError(f"unknown word-order mode {mode!r}")
 
 
-@dataclass
-class DistanceConfig:
-    """Phrase-distance configuration.
+def combined_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
+                   lexicon: SynonymLexicon, mode: str):
+    """Equally weighted mean of the components ``mode`` enables, or REJECT.
 
     mode A: f1 + f2; B: f1 + f2 gated by rigid word order; C adds the LCS
-    word-order component; D the inversion-pair one. ``weights`` (optional)
-    are per enabled component and renormalized to sum to 1.
+    word-order component; D the inversion-pair one.
     """
-
-    mode: str = "C"
-    weights: tuple[float, ...] | None = None
-    align_threshold: int = 3
-    d_t: int = 3
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.d_t < 1:
-            raise ValueError("d_t must be >= 1")
-        self.component_weights()  # validate eagerly
-
-    def n_components(self) -> int:
-        return 2 if self.mode in ("A", "B") else 3
-
-    def component_weights(self) -> tuple[float, ...]:
-        n = self.n_components()
-        w = self.weights if self.weights is not None else (1.0,) * n
-        if len(w) != n:
-            raise ValueError(f"mode {self.mode} needs {n} weights, got {len(w)}")
-        if any(x < 0 for x in w) or sum(w) <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
-        total = sum(w)
-        return tuple(x / total for x in w)
-
-
-def combined_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
-                   lexicon: SynonymLexicon, config: DistanceConfig):
-    """Weighted combination of the enabled components, or REJECT."""
-    weights = config.component_weights()
     parts = [f1_similarity(p_tokens, r_tokens),
              f2_synset(p_tokens, r_tokens, lexicon)]
-    if config.mode == "B":
-        if f3_word_order(p_tokens, r_tokens, "rigid", config.align_threshold) is REJECT:
+    if mode == "B":
+        if f3_word_order(p_tokens, r_tokens, "rigid", ALIGN_THRESHOLD) is REJECT:
             return REJECT
-    elif config.mode == "C":
-        parts.append(f3_word_order(p_tokens, r_tokens, "lcs", config.align_threshold))
-    elif config.mode == "D":
-        parts.append(
-            f3_word_order(p_tokens, r_tokens, "inversion", config.align_threshold))
-    return sum(w * v for w, v in zip(weights, parts))
+    elif mode == "C":
+        parts.append(f3_word_order(p_tokens, r_tokens, "lcs", ALIGN_THRESHOLD))
+    elif mode == "D":
+        parts.append(f3_word_order(p_tokens, r_tokens, "inversion", ALIGN_THRESHOLD))
+    elif mode != "A":
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    w = 1.0 / len(parts)
+    return sum(w * v for v in parts)

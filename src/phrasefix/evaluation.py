@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .lexicon import SynonymLexicon
-from .lm import LOG10_2, LanguageModel
+from .lm import LanguageModel
+
+LOG10_2 = math.log10(2.0)
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
@@ -52,7 +54,7 @@ def bleu(candidates: Sequence[Sequence[str]],
          max_n: int = 4) -> float:
     """Corpus-level BLEU: geometric mean of aggregated clipped precisions for
     n = 1..max_n times the brevity penalty e^(1 - r/c) when c <= r. Any
-    zero aggregate precision yields 0 (no smoothing)."""
+    zero aggregate precision yields 0 (unsmoothed)."""
     if len(candidates) != len(reference_sets):
         raise ValueError("candidate and reference lists differ in length")
     if not candidates:

@@ -1,5 +1,5 @@
-"""N-gram language models: ARPA parsing/serialization, Witten-Bell training,
-backoff scoring and perplexity."""
+"""N-gram language models: ARPA parsing/serialization, Witten-Bell training
+and backoff scoring."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-LOG10_2 = math.log10(2.0)
-DEFAULT_OOV_LOGPROB = -99.0
+# log10 probability of a word the model has no unigram for
+OOV_LOGPROB = -99.0
 
 _NON_WORD = re.compile(r"[^\w\s]+")
 
@@ -30,7 +30,6 @@ class ArpaParseError(ValueError):
 
 @dataclass(frozen=True)
 class NgramEntry:
-    tokens: tuple[str, ...]
     logprob: float  # log10, <= 0 for trained models
     backoff: float = 0.0  # log10 backoff weight, 0 when absent
 
@@ -39,58 +38,58 @@ class LanguageModel:
     """Immutable n-gram model scored in log10 space with backoff.
 
     ``tables`` maps each n-gram length to a dict from token tuple to
-    NgramEntry. Unknown unigrams score ``oov_logprob``.
+    NgramEntry. Unknown unigrams score ``OOV_LOGPROB``.
     """
 
-    def __init__(self, order: int, tables: dict[int, dict[tuple[str, ...], NgramEntry]],
-                 oov_logprob: float = DEFAULT_OOV_LOGPROB):
+    def __init__(self, order: int, tables: dict[int, dict[tuple[str, ...], NgramEntry]]):
         if order < 1:
             raise ValueError("model order must be >= 1")
         self.order = order
         self.tables = tables
         self.vocabulary = frozenset(g[0] for g in tables.get(1, {}))
-        self.oov_logprob = oov_logprob
 
     def score_word(self, word: str, history: Iterable[str] = ()) -> float:
         """log10 P(word | history), backing off to shorter histories."""
-        hist = tuple(history)
-        if self.order > 1:
-            hist = hist[-(self.order - 1):]
-        else:
-            hist = ()
+        hist = tuple(history)[1 - self.order:] if self.order > 1 else ()
+        return self._score_gram(hist + (word,))
+
+    def _score_gram(self, gram: tuple[str, ...]) -> float:
+        """log10 P(gram[-1] | gram[:-1]) for a gram of at most ``order`` words."""
+        tables = self.tables
         penalty = 0.0
         while True:
-            entry = self.tables.get(len(hist) + 1, {}).get(hist + (word,))
+            n = len(gram)
+            entry = tables.get(n, {}).get(gram)
             if entry is not None:
                 return penalty + entry.logprob
-            if not hist:
-                return penalty + self.oov_logprob
-            ctx = self.tables.get(len(hist), {}).get(hist)
+            if n == 1:
+                return penalty + OOV_LOGPROB
+            ctx = tables.get(n - 1, {}).get(gram[:-1])
             if ctx is not None:
                 penalty += ctx.backoff
-            hist = hist[1:]
+            gram = gram[1:]
 
     def score_sequence(self, tokens: Iterable[str]) -> float:
         """Total log10 probability; no boundary tokens are added."""
         seq = tuple(tokens)
         if not seq:
             raise ValueError("cannot score an empty sequence")
+        order = self.order
+        score_gram = self._score_gram
         total = 0.0
-        for j in range(len(seq)):
-            total += self.score_word(seq[j], seq[max(0, j - self.order + 1):j])
+        for j in range(1, len(seq) + 1):
+            total += score_gram(seq[j - order if j > order else 0:j])
         return total
 
-    def perplexity(self, tokens: Iterable[str]) -> float:
-        """2**LP where LP averages -log2 P(S_i | full history) over the
-        positions with a complete (order-1)-word history."""
-        seq = tuple(tokens)
-        length = len(seq)
-        if length < self.order:
-            raise ValueError(f"sequence of length {length} is shorter than model order {self.order}")
-        lp = 0.0
-        for i in range(self.order - 1, length):
-            lp -= self.score_word(seq[i], seq[i - self.order + 1:i]) / LOG10_2
-        return 2.0 ** (lp / (length - self.order + 1))
+
+def _finite(field: str, what: str, line_no: int) -> float:
+    try:
+        value = float(field)
+    except ValueError:
+        raise ArpaParseError(f"non-numeric {what} {field!r}", line_no) from None
+    if not math.isfinite(value):
+        raise ArpaParseError(f"non-finite {what} {field!r}", line_no)
+    return value
 
 
 def parse_arpa(text) -> LanguageModel:
@@ -157,18 +156,9 @@ def parse_arpa(text) -> LanguageModel:
             fields = entry_line.split()
             if len(fields) not in (n + 1, n + 2):
                 raise ArpaParseError(f"expected {n}-gram entry, got {entry_line!r}", idx + 1)
-            try:
-                logprob = float(fields[0])
-            except ValueError:
-                raise ArpaParseError(f"non-numeric logprob {fields[0]!r}", idx + 1) from None
-            grams = tuple(fields[1:n + 1])
-            backoff = 0.0
-            if len(fields) == n + 2:
-                try:
-                    backoff = float(fields[-1])
-                except ValueError:
-                    raise ArpaParseError(f"non-numeric backoff {fields[-1]!r}", idx + 1) from None
-            table[grams] = NgramEntry(grams, logprob, backoff)
+            logprob = _finite(fields[0], "logprob", idx + 1)
+            backoff = _finite(fields[-1], "backoff", idx + 1) if len(fields) == n + 2 else 0.0
+            table[tuple(fields[1:n + 1])] = NgramEntry(logprob, backoff)
             idx += 1
         if len(table) != declared[n]:
             raise ArpaParseError(
@@ -203,16 +193,13 @@ def serialize_arpa(lm: LanguageModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def train_counts(corpus: Iterable[Iterable[str]], order: int,
-                 smoothing: str = "witten-bell") -> LanguageModel:
+def train_counts(corpus: Iterable[Iterable[str]], order: int) -> LanguageModel:
     """Train an n-gram model with Witten-Bell discounting.
 
     For each history h, seen words get P(w|h) = c(h,w) / (c(h) + T(h)) where
     T(h) is the number of distinct continuations of h; the held-out mass
-    T(h) / (c(h) + T(h)) is redistributed through the backoff weights.
+    T(h) / (c(h) + T(h)) is redistributed through the backoff weight of h.
     """
-    if smoothing != "witten-bell":
-        raise ValueError(f"unsupported smoothing {smoothing!r}")
     if order < 1:
         raise ValueError("order must be >= 1")
     sentences = [tuple(s) for s in corpus if tuple(s)]
@@ -244,6 +231,6 @@ def train_counts(corpus: Iterable[Iterable[str]], order: int,
                 lower = gram[1:]
                 seen_lower = sum(counts[n][lower + (w,)] / mass[lower] for w in ctx)
                 backoff = math.log10(held_out / (1.0 - seen_lower))
-            table[gram] = NgramEntry(gram, math.log10(c / mass[gram[:-1]]), backoff)
+            table[gram] = NgramEntry(math.log10(c / mass[gram[:-1]]), backoff)
         tables[n] = table
     return LanguageModel(order, tables)

@@ -4,6 +4,7 @@ with sorted postings lists answers retrieval queries."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -195,6 +196,8 @@ def load_index(path) -> PhraseIndex:
         for _ in range(int(count)):
             docid, score, tokens = fh.readline().rstrip("\n").split("\t")
             docs.append(PhraseDoc(int(docid), tuple(tokens.split()), float(score)))
+            if not math.isfinite(docs[-1].lm_score):
+                raise ValueError(f"{path}: doc {docid} has non-finite score {score!r}")
         if not fh.readline().startswith("postings\t"):
             raise ValueError(f"{path}: malformed postings header")
     return build_index(docs)

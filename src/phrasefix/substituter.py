@@ -4,10 +4,10 @@ two-common-words heuristic of the fixed-length baseline."""
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .distance import REJECT, DistanceConfig, combined_score
+from .distance import MODES, REJECT, combined_score
 from .lexicon import SynonymLexicon
 from .lm import LanguageModel
 from .phrase_index import PhraseDoc, PhraseIndex
@@ -21,14 +21,21 @@ class ScoredPhrase:
 
 @dataclass
 class SubstituterConfig:
+    """Keep the k best by LM score of the t_pool best by distance score under
+    ``mode`` (see ``combined_score``); query words match at edit distance < d_t."""
+
     k: int = 5
     t_pool: int = 200
-    distance: DistanceConfig = field(default_factory=DistanceConfig)
-    include_identity: bool = True
+    mode: str = "C"
+    d_t: int = 3
 
     def __post_init__(self):
         if not 1 <= self.k <= self.t_pool:
             raise ValueError(f"need 1 <= k <= t_pool, got k={self.k} t_pool={self.t_pool}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.d_t < 1:
+            raise ValueError("d_t must be >= 1")
 
 
 def find_best_sub(index: PhraseIndex, lm: LanguageModel, lexicon: SynonymLexicon,
@@ -38,21 +45,21 @@ def find_best_sub(index: PhraseIndex, lm: LanguageModel, lexicon: SynonymLexicon
     Stage 1 retrieves the fuzzy-matching phrase documents and keeps the
     t_pool best by combined distance score (rejects dropped); stage 2
     re-ranks that pool by LM score. The original phrase is seeded into the
-    pool before the final truncation when ``include_identity`` is set.
+    pool before the final truncation, so the list is never empty.
     """
     query = tuple(phrase)
     if not query:
         raise ValueError("empty phrase")
     scored: list[tuple[float, PhraseDoc]] = []
-    for docid in index.retrieve(query, config.distance.d_t):
+    for docid in index.retrieve(query, config.d_t):
         doc = index.docs[docid]
-        s = combined_score(query, doc.tokens, lexicon, config.distance)
+        s = combined_score(query, doc.tokens, lexicon, config.mode)
         if s is REJECT:
             continue
         scored.append((s, doc))
     scored.sort(key=lambda item: (-item[0], item[1].tokens))
     pool = [ScoredPhrase(doc.tokens, doc.lm_score) for _, doc in scored[:config.t_pool]]
-    if config.include_identity and query not in {c.tokens for c in pool}:
+    if query not in {c.tokens for c in pool}:
         pool.append(ScoredPhrase(query, lm.score_sequence(query)))
     return top_k(pool, config.k)
 

@@ -9,12 +9,13 @@ import time
 
 import pytest
 
-from phrasefix import (DistanceConfig, NoiseSpec, ScoredPhrase, SubstituterConfig,
-                       SynonymLexicon, build_index, combine_cells, correct_dp,
+from phrasefix import (NoiseSpec, ScoredPhrase, SubstituterConfig,
+                       SynonymLexicon, build_index, corpus_perplexity, correct_dp,
                        correct_fixed, extract_phrases, find_k_best_common,
                        inject_noise, levenshtein, modified_precision, parse_arpa,
                        train_counts)
 from phrasefix.corrector import cross_concat
+from phrasefix.substituter import top_k
 from phrasefix.distance import align, count_inversions, f3_word_order
 from phrasefix.phrase_index import PhraseDoc, TrieDictionary
 
@@ -64,7 +65,7 @@ def _random_dp_instance(rng):
     sentence = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 6)))
     cfg = SubstituterConfig(
         k=10 ** 9, t_pool=10 ** 9,
-        distance=DistanceConfig(mode=rng.choice("ABCD"), d_t=rng.randint(1, 2)))
+        mode=rng.choice("ABCD"), d_t=rng.randint(1, 2))
     return sentence, lm, index, cfg
 
 
@@ -81,7 +82,8 @@ def test_dp_matches_exhaustive_oracle():
         oracle = exhaustive_best_score(sentence, index, lm, lex, cfg, cands)
         full = correct_dp(sentence, index, lm, lex, cfg)
         assert full.score_after == pytest.approx(oracle, abs=1e-9)
-        pruned_cfg = SubstituterConfig(k=2, t_pool=cfg.t_pool, distance=cfg.distance)
+        pruned_cfg = SubstituterConfig(k=2, t_pool=cfg.t_pool, mode=cfg.mode,
+                                       d_t=cfg.d_t)
         pruned = correct_dp(sentence, index, lm, lex, pruned_cfg)
         assert pruned.score_after <= oracle + 1e-9
         checked += 1
@@ -100,7 +102,7 @@ def noisy_suite(synth_lm, synth_index):
 
 
 def test_never_worse_with_strict_improvement(synth_lm, synth_index, noisy_suite):
-    cfg = SubstituterConfig(k=5, t_pool=200, distance=DistanceConfig(mode="C"))
+    cfg = SubstituterConfig(k=5, t_pool=200, mode="C")
     lex = SynonymLexicon()
     cache = {}
     improved = 0
@@ -158,7 +160,7 @@ def test_split_count_law():
         left = [ScoredPhrase((w,), 0.0) for w in vocab[:5]]
         right = [ScoredPhrase((w, w), 0.0) for w in vocab[5:10]]
         assert len(cross_concat(left, right, lm.score_sequence)) == 25
-        assert len(combine_cells(left, right, lm, 5)) == 5
+        assert len(top_k(cross_concat(left, right, lm.score_sequence), 5)) == 5
 
 
 UNIFORM_HALF = """\\data\\
@@ -202,7 +204,7 @@ def test_metric_suites():
             assert index.postings.get(word, []) == expected
 
     uniform = parse_arpa(UNIFORM_HALF)
-    assert abs(uniform.perplexity(("aa", "bb", "aa")) - 2.0) < 1e-9
+    assert abs(corpus_perplexity(uniform, [("aa", "bb", "aa")]) - 2.0) < 1e-9
 
     trained = train_counts(synth_corpus(200, seed=5), 3)
     counts = {}
@@ -238,7 +240,7 @@ def test_scaling_smoke():
                       -rng.random() * 20)
             for i in range(50000)]
     index = build_index(docs)
-    cfg = SubstituterConfig(k=5, t_pool=200, distance=DistanceConfig(mode="C"))
+    cfg = SubstituterConfig(k=5, t_pool=200, mode="C")
     lex = SynonymLexicon()
 
     sentence = tuple(rng.choice(vocab) for _ in range(20))

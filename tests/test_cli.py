@@ -99,12 +99,15 @@ class TestCorrect:
 
     def test_dp_records_never_worse(self, workspace):
         tmp, corpus, sentences = workspace
-        records = self.run_pipeline(tmp, corpus, ["--algorithm", "dp", "--k", "3",
-                                                  "--t-pool", "50", "--d-t", "2"])
-        assert len(records) == len(sentences)
-        for rec in records:
-            assert set(rec) >= {"original", "corrected", "score_before", "score_after"}
-            assert rec["score_after"] >= rec["score_before"] - 1e-9
+        for mode in ("A", "B", "C", "D"):
+            records = self.run_pipeline(tmp, corpus, ["--algorithm", "dp", "--k", "3",
+                                                      "--t-pool", "50", "--d-t", "2",
+                                                      "--mode", mode])
+            assert len(records) == len(sentences)
+            for rec in records:
+                assert set(rec) >= {"original", "corrected", "score_before",
+                                    "score_after"}
+                assert rec["score_after"] >= rec["score_before"] - 1e-9
 
     def test_fixed_records_never_worse(self, workspace):
         tmp, corpus, sentences = workspace
@@ -140,12 +143,12 @@ class TestCorrect:
         main(["build-index", "--lm", str(arpa), "--out", str(idx)])
         return arpa, idx
 
-    def correct(self, tmp, arpa, idx, lines, algorithm="dp"):
+    def correct(self, tmp, arpa, idx, lines, algorithm="dp", options=()):
         inp, out = tmp / "in.txt", tmp / "out.jsonl"
         inp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         code = main(["correct", "--in", str(inp), "--lm", str(arpa), "--index", str(idx),
                      "--algorithm", algorithm, "--k", "3", "--t-pool", "50",
-                     "--d-t", "2", "--out", str(out)])
+                     "--d-t", "2", *options, "--out", str(out)])
         records = [json.loads(line) for line in out.read_text().splitlines()] \
             if out.exists() else []
         return code, records
@@ -181,6 +184,36 @@ class TestCorrect:
         lines[2], lines[3] = lines[3], lines[2]  # the first two doc lines
         idx.write_text("".join(lines))
         assert self.correct(tmp, arpa, idx, [" ".join(sentences[0][:4])])[0] == 2
+
+    @pytest.mark.parametrize("algorithm,options", [
+        ("dp", ["--k", "0"]),
+        ("dp", ["--k", "51"]),
+        ("dp", ["--d-t", "0"]),
+        ("dp", ["--mode", "E"]),
+        ("fixed", ["--phrase-len", "1"]),
+    ])
+    def test_bad_option_value_is_usage_error_before_any_record(self, workspace,
+                                                               algorithm, options):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)  # order 2
+        lines = ["", " ".join(sentences[0][:4])]
+        assert self.correct(tmp, arpa, idx, lines, algorithm, options) == (1, [])
+
+    @pytest.mark.parametrize("damage", ["arpa", "index"])
+    def test_non_finite_number_in_a_file_is_data_error(self, workspace, damage):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        if damage == "arpa":
+            lines = arpa.read_text().splitlines(keepends=True)
+            at = lines.index("\\1-grams:\n") + 1
+            lines[at] = "inf" + lines[at][lines[at].index("\t"):]
+            arpa.write_text("".join(lines))
+        else:
+            lines = idx.read_text().splitlines(keepends=True)
+            docid, _, tokens = lines[2].split("\t")
+            lines[2] = f"{docid}\tnan\t{tokens}"
+            idx.write_text("".join(lines))
+        assert self.correct(tmp, arpa, idx, [" ".join(sentences[0][:4])]) == (2, [])
 
     def test_unknown_algorithm_is_usage_error(self, workspace):
         tmp, corpus, _ = workspace

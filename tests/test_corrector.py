@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from phrasefix import (DistanceConfig, ScoredPhrase, SubstituterConfig, SynonymLexicon,
-                       build_index, combine_cells, correct_dp, correct_fixed,
+from phrasefix import (ScoredPhrase, SubstituterConfig, SynonymLexicon,
+                       build_index, correct_dp, correct_fixed,
                        extract_phrases, find_k_best_common, train_counts)
 from phrasefix.corrector import cross_concat
+from phrasefix.substituter import top_k
 from phrasefix.phrase_index import PhraseDoc
 
 from conftest import random_word
@@ -28,8 +29,13 @@ def random_instance(rng, max_n=6):
     sentence = tuple(rng.choice(vocab) for _ in range(rng.randint(2, max_n)))
     config = SubstituterConfig(
         k=UNBOUNDED, t_pool=UNBOUNDED,
-        distance=DistanceConfig(mode=rng.choice("ABCD"), d_t=rng.randint(1, 2)))
+        mode=rng.choice("ABCD"), d_t=rng.randint(1, 2))
     return sentence, lm, index, config
+
+
+def combine(left, right, lm, k):
+    """One chart-cell combine step: every concatenation, rescored, top k."""
+    return top_k(cross_concat(left, right, lm.score_sequence), k)
 
 
 class TestCombine:
@@ -40,7 +46,7 @@ class TestCombine:
     def test_singleton_cells(self, lm):
         left = [ScoredPhrase(("a",), -1.0)]
         right = [ScoredPhrase(("b",), -1.0)]
-        out = combine_cells(left, right, lm, 5)
+        out = combine(left, right, lm, 5)
         assert len(out) == 1
         assert out[0].tokens == ("a", "b")
 
@@ -48,7 +54,7 @@ class TestCombine:
         left = [ScoredPhrase((w,), -1.0) for w in ("a", "b", "c", "d", "e")]
         right = [ScoredPhrase((w, w), -1.0) for w in ("f", "g", "h", "i", "j")]
         assert len(cross_concat(left, right, lm.score_sequence)) == 25
-        assert len(combine_cells(left, right, lm, 5)) == 5
+        assert len(combine(left, right, lm, 5)) == 5
 
     def test_matches_enumerate_score_sort(self, lm):
         rng = random.Random(8)
@@ -56,7 +62,7 @@ class TestCombine:
                 for _ in range(3)]
         right = [ScoredPhrase(tuple(rng.choice("abcd") for _ in range(2)), 0.0)
                  for _ in range(3)]
-        got = combine_cells(left, right, lm, 4)
+        got = combine(left, right, lm, 4)
         expected = {}
         for a in left:
             for b in right:
@@ -68,7 +74,7 @@ class TestCombine:
     def test_rescored_as_whole_not_sum_of_parts(self, lm):
         left = [ScoredPhrase(("a", "b"), lm.score_sequence(("a", "b")))]
         right = [ScoredPhrase(("c",), lm.score_sequence(("c",)))]
-        out = combine_cells(left, right, lm, 1)
+        out = combine(left, right, lm, 1)
         # "b c" is a strong stored bigram, so the joint score beats the sum
         assert out[0].score == pytest.approx(lm.score_sequence(("a", "b", "c")))
         assert out[0].score != pytest.approx(left[0].score + right[0].score)
@@ -129,7 +135,7 @@ class TestCorrectDp:
             lex = SynonymLexicon()
             candidates = span_candidates(sentence, index, lm, lex, cfg)
             oracle = exhaustive_best_score(sentence, index, lm, lex, cfg, candidates)
-            pruned = SubstituterConfig(k=2, t_pool=cfg.t_pool, distance=cfg.distance)
+            pruned = SubstituterConfig(k=2, t_pool=cfg.t_pool, mode=cfg.mode, d_t=cfg.d_t)
             result = correct_dp(sentence, index, lm, lex, pruned)
             assert result.score_after <= oracle + 1e-9
 

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from phrasefix import REJECT, DistanceConfig, SynonymLexicon, combined_score, levenshtein, load_lexicon
-from phrasefix.distance import (align, count_inversions, f1_similarity, f2_synset,
-                                f3_word_order, lcs_length)
+from phrasefix import REJECT, SynonymLexicon, combined_score, levenshtein, load_lexicon
+from phrasefix.distance import (ALIGN_THRESHOLD, MODES, align, count_inversions,
+                                f1_similarity, f2_synset, f3_word_order, lcs_length)
 
 from conftest import random_word
 
@@ -119,34 +119,42 @@ class TestComponents:
 class TestCombinedScore:
     @pytest.mark.parametrize("mode", ["A", "B", "C", "D"])
     def test_identity_scores_one(self, mode):
-        cfg = DistanceConfig(mode=mode)
         p = ("the", "trade", "agreement")
-        assert combined_score(p, p, SynonymLexicon(), cfg) == pytest.approx(1.0)
+        assert combined_score(p, p, SynonymLexicon(), mode) == pytest.approx(1.0)
 
     def test_mode_b_rejects_crossed_permutation(self):
-        cfg = DistanceConfig(mode="B")
         p = ("alpha", "beta", "gamma")
         r = ("gamma", "alpha", "beta")
-        assert combined_score(p, r, SynonymLexicon(), cfg) is REJECT
+        assert combined_score(p, r, SynonymLexicon(), "B") is REJECT
 
     def test_mode_c_hand_weighted_sum(self):
         lex = load_lexicon("beta gamma\n")
         p = ("alpha", "beta", "gamma")
         r = ("alpha", "gamma", "beta")
-        cfg = DistanceConfig(mode="C", align_threshold=2)
         f1 = f1_similarity(p, r)
         f2 = f2_synset(p, r, lex)
         expected = (f1 + f2 + 2 / 3) / 3
-        assert combined_score(p, r, lex, cfg) == pytest.approx(expected)
+        assert combined_score(p, r, lex, "C") == pytest.approx(expected)
 
-    def test_weight_scale_invariance(self):
-        p = ("alpha", "beta", "gamma")
-        r = ("alpha", "gamma", "beta")
-        base = DistanceConfig(mode="C", weights=(1.0, 2.0, 3.0))
-        scaled = DistanceConfig(mode="C", weights=(2.5, 5.0, 7.5))
-        lex = SynonymLexicon()
-        assert combined_score(p, r, lex, base) == pytest.approx(
-            combined_score(p, r, lex, scaled))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_exact_equal_weight_mean(self, mode):
+        # the exact floats, not approx: stage-1 ties are broken on them
+        rng = random.Random(ord(mode))
+        vocab = [random_word(rng, 2, 5) for _ in range(8)]
+        lex = load_lexicon(" ".join(vocab[:3]) + "\n" + " ".join(vocab[3:5]) + "\n")
+        order = {"B": "rigid", "C": "lcs", "D": "inversion"}.get(mode)
+        for _ in range(200):
+            p = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
+            r = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
+            parts = [f1_similarity(p, r), f2_synset(p, r, lex)]
+            f3 = f3_word_order(p, r, order, ALIGN_THRESHOLD) if order else None
+            if f3 is REJECT:
+                assert combined_score(p, r, lex, mode) is REJECT
+                continue
+            if mode in ("C", "D"):
+                parts.append(f3)
+            assert combined_score(p, r, lex, mode) == \
+                sum((1.0 / len(parts)) * v for v in parts)
 
     def test_value_in_unit_interval(self):
         rng = random.Random(21)
@@ -154,14 +162,9 @@ class TestCombinedScore:
         for _ in range(200):
             p = tuple(random_word(rng, 2, 5) for _ in range(rng.randint(1, 4)))
             r = tuple(random_word(rng, 2, 5) for _ in range(rng.randint(1, 4)))
-            cfg = DistanceConfig(mode=rng.choice("ABCD"))
-            v = combined_score(p, r, lex, cfg)
+            v = combined_score(p, r, lex, rng.choice(MODES))
             assert v is REJECT or 0.0 <= v <= 1.0 + 1e-12
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
-            DistanceConfig(mode="E")
-        with pytest.raises(ValueError):
-            DistanceConfig(mode="A", weights=(1.0, 2.0, 3.0))
-        with pytest.raises(ValueError):
-            DistanceConfig(mode="C", weights=(0.0, 0.0, 0.0))
+            combined_score(("a",), ("a",), SynonymLexicon(), "E")

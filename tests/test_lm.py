@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from phrasefix import LanguageModel, parse_arpa, serialize_arpa, tokenize, train_counts
-from phrasefix.lm import ArpaParseError, NgramEntry
+from phrasefix import (LanguageModel, corpus_perplexity, parse_arpa, serialize_arpa,
+                       tokenize, train_counts)
+from phrasefix.lm import OOV_LOGPROB, ArpaParseError, NgramEntry
 
 from conftest import synth_corpus
 
@@ -67,6 +68,12 @@ class TestParseArpa:
         with pytest.raises(ArpaParseError, match="line 5"):
             parse_arpa(text)
 
+    @pytest.mark.parametrize("entry", ["inf\ta", "nan\ta", "-0.3\ta\t-inf", "-0.3\ta\tnan"])
+    def test_non_finite_number_names_line(self, entry):
+        text = f"\\data\\\nngram 1=1\n\n\\1-grams:\n{entry}\n\n\\end\\\n"
+        with pytest.raises(ArpaParseError, match="line 5: non-finite"):
+            parse_arpa(text)
+
     def test_section_out_of_sequence(self):
         text = ("\\data\\\nngram 1=1\nngram 2=1\n\n\\2-grams:\n-0.5\ta b\n\n"
                 "\\1-grams:\n-0.3\ta\n\n\\end\\\n")
@@ -96,7 +103,7 @@ class TestScoring:
 
     def test_oov_floor(self):
         lm = parse_arpa(BACKOFF_TOY)
-        assert lm.score_word("zzz") == lm.oov_logprob
+        assert lm.score_word("zzz") == OOV_LOGPROB
 
     def test_stored_ngram_never_backed_off(self):
         lm = parse_arpa(BACKOFF_TOY)
@@ -143,8 +150,8 @@ class TestPerplexity:
     def uniform_bigram_lm(self):
         half = math.log10(0.5)
         tables = {
-            1: {(w,): NgramEntry((w,), half) for w in "ab"},
-            2: {(x, y): NgramEntry((x, y), half) for x in "ab" for y in "ab"},
+            1: {(w,): NgramEntry(half) for w in "ab"},
+            2: {(x, y): NgramEntry(half) for x in "ab" for y in "ab"},
         }
         return LanguageModel(2, tables)
 
@@ -152,35 +159,35 @@ class TestPerplexity:
     def test_uniform_half_transitions_give_two(self, length):
         lm = self.uniform_bigram_lm()
         s = tuple("ab"[i % 2] for i in range(length))
-        assert lm.perplexity(s) == pytest.approx(2.0, abs=1e-9)
+        assert corpus_perplexity(lm, [s]) == pytest.approx(2.0, abs=1e-9)
 
     def test_deterministic_model_gives_one(self):
         tables = {
-            1: {("a",): NgramEntry(("a",), math.log10(0.5)),
-                ("b",): NgramEntry(("b",), math.log10(0.5))},
-            2: {("a", "b"): NgramEntry(("a", "b"), 0.0),
-                ("b", "a"): NgramEntry(("b", "a"), 0.0)},
+            1: {("a",): NgramEntry(math.log10(0.5)),
+                ("b",): NgramEntry(math.log10(0.5))},
+            2: {("a", "b"): NgramEntry(0.0),
+                ("b", "a"): NgramEntry(0.0)},
         }
         lm = LanguageModel(2, tables)
-        assert lm.perplexity(("a", "b", "a", "b")) == pytest.approx(1.0)
+        assert corpus_perplexity(lm, [("a", "b", "a", "b")]) == pytest.approx(1.0)
 
     def test_too_short_sequence(self):
         lm = self.uniform_bigram_lm()
         with pytest.raises(ValueError):
-            lm.perplexity(("a",))
+            corpus_perplexity(lm, [("a",)])
 
     def test_hand_computed_oracle(self):
         # independent arithmetic over explicit conditional probabilities
         probs = {("a", "b"): 0.5, ("b", "a"): 0.25, ("b", "b"): 0.5, ("a", "a"): 0.25}
         tables = {
-            1: {(w,): NgramEntry((w,), math.log10(0.5)) for w in "ab"},
-            2: {g: NgramEntry(g, math.log10(p)) for g, p in probs.items()},
+            1: {(w,): NgramEntry(math.log10(0.5)) for w in "ab"},
+            2: {g: NgramEntry(math.log10(p)) for g, p in probs.items()},
         }
         lm = LanguageModel(2, tables)
         for sent in [("a", "b", "b"), ("b", "a", "a", "b"), ("a", "a", "b", "a")]:
             lp = -sum(math.log2(probs[(sent[i - 1], sent[i])])
                       for i in range(1, len(sent))) / (len(sent) - 1)
-            assert lm.perplexity(sent) == pytest.approx(2.0 ** lp, abs=1e-9)
+            assert corpus_perplexity(lm, [sent]) == pytest.approx(2.0 ** lp, abs=1e-9)
 
 
 class TestTraining:
@@ -233,9 +240,6 @@ class TestTraining:
             assert lm2.score_sequence(sent) == pytest.approx(
                 lm.score_sequence(sent), abs=1e-9)
 
-    def test_unsupported_smoothing(self):
-        with pytest.raises(ValueError):
-            train_counts([("a", "b")], 2, smoothing="kneser-ney")
 
 
 def test_tokenize_drops_punctuation_and_case():

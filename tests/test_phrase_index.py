@@ -172,6 +172,17 @@ class TestPersistence:
         assert loaded.postings == index.postings
         assert loaded.retrieve(("b",), 2) == index.retrieve(("b",), 2)
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_non_finite_doc_score_rejected(self, tmp_path, score):
+        path = tmp_path / "phrases.idx"
+        save_index(build_index(make_docs(["a b", "b c"])), path)
+        lines = path.read_text().splitlines(keepends=True)
+        docid, _, tokens = lines[3].split("\t")
+        lines[3] = f"{docid}\t{score}\t{tokens}"  # the second doc line
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="doc 1 has non-finite score"):
+            load_index(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk"
         path.write_text("not an index\n")

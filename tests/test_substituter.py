@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from phrasefix import (REJECT, DistanceConfig, ScoredPhrase, SubstituterConfig,
+from phrasefix import (REJECT, ScoredPhrase, SubstituterConfig,
                        SynonymLexicon, build_index, combined_score, find_best_sub,
                        find_k_best_common, levenshtein, train_counts)
 from phrasefix.phrase_index import PhraseDoc
@@ -16,16 +16,16 @@ def oracle_best_sub(docs, lm, lex, phrase, cfg):
     phrase = tuple(phrase)
     pool = []
     for doc in docs:
-        if not any(levenshtein(q, w) < cfg.distance.d_t
+        if not any(levenshtein(q, w) < cfg.d_t
                    for q in phrase for w in doc.tokens):
             continue
-        s = combined_score(phrase, doc.tokens, lex, cfg.distance)
+        s = combined_score(phrase, doc.tokens, lex, cfg.mode)
         if s is REJECT:
             continue
         pool.append((s, doc))
     pool.sort(key=lambda item: (-item[0], item[1].tokens))
     cand = {d.tokens: ScoredPhrase(d.tokens, d.lm_score) for _, d in pool[:cfg.t_pool]}
-    if cfg.include_identity and phrase not in cand:
+    if phrase not in cand:
         cand[phrase] = ScoredPhrase(phrase, lm.score_sequence(phrase))
     return sorted(cand.values(), key=lambda c: (-c.score, c.tokens))[:cfg.k]
 
@@ -77,7 +77,7 @@ class TestFindBestSub:
             index = build_index(docs)
             cfg = SubstituterConfig(
                 k=5, t_pool=rng.choice([5, 25]),
-                distance=DistanceConfig(mode=rng.choice("ABCD"), d_t=rng.randint(1, 3)))
+                mode=rng.choice("ABCD"), d_t=rng.randint(1, 3))
             phrase = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
             got = find_best_sub(index, lm, lex, phrase, cfg)
             assert got == oracle_best_sub(docs, lm, lex, phrase, cfg)
@@ -93,7 +93,7 @@ class TestFindBestSub:
         grams = sorted({tuple(s) for s in corpus})[:25]
         docs = [PhraseDoc(i, g, lm.score_sequence(g)) for i, g in enumerate(grams)]
         index = build_index(docs)
-        cfg = SubstituterConfig(k=5, t_pool=25, distance=DistanceConfig(mode="C"))
+        cfg = SubstituterConfig(k=5, t_pool=25, mode="C")
         phrase = (vocab[0], vocab[1])
         got = find_best_sub(index, lm, SynonymLexicon(), phrase, cfg)
         assert len(got) == 5
@@ -101,18 +101,10 @@ class TestFindBestSub:
 
     def test_full_t_matches_oracle_exactly(self, toy_setup):
         lm, docs, index = toy_setup
-        cfg = SubstituterConfig(k=4, t_pool=len(docs),
-                                distance=DistanceConfig(mode="A"))
+        cfg = SubstituterConfig(k=4, t_pool=len(docs), mode="A")
         phrase = ("extreme", "right")
         assert find_best_sub(index, lm, SynonymLexicon(), phrase, cfg) == \
             oracle_best_sub(docs, lm, SynonymLexicon(), phrase, cfg)
-
-    def test_identity_disabled_can_return_empty(self, toy_setup):
-        lm, docs, index = toy_setup
-        cfg = SubstituterConfig(k=3, t_pool=5, include_identity=False)
-        result = find_best_sub(index, lm, SynonymLexicon(),
-                               ("zzzzzzz", "qqqqqqq"), cfg)
-        assert result == []
 
     def test_raising_t_only_displaces_with_better_scores(self, toy_setup):
         lm, docs, index = toy_setup
@@ -128,8 +120,9 @@ class TestFindBestSub:
                 assert all(other.score >= cand.score for other in large)
 
     def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            SubstituterConfig(k=10, t_pool=5)
+        for bad in ({"k": 10, "t_pool": 5}, {"k": 0}, {"mode": "E"}, {"d_t": 0}):
+            with pytest.raises(ValueError):
+                SubstituterConfig(**bad)
 
 
 class TestFindKBestCommon:
