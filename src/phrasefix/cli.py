@@ -104,10 +104,8 @@ def cmd_correct(args) -> int:
 
     index = phrase_index.load_index(args.index)
     if args.algorithm == "dp":
-        cache: dict = {}
-
         def correct(sent):
-            return correct_dp(sent, index, model, lexicon, config, sub_cache=cache)
+            return correct_dp(sent, index, model, lexicon, config)
     else:
         def correct(sent):
             return correct_fixed(sent, model, index, phrase_len=args.phrase_len)

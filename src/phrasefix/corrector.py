@@ -9,7 +9,7 @@ from typing import Callable, Sequence
 from .lexicon import SynonymLexicon
 from .lm import LanguageModel
 from .phrase_index import PhraseIndex
-from .substituter import (ScoredPhrase, SubstituterConfig, find_best_sub,
+from .substituter import (ScoredPhrase, SubstituterConfig, find_best_subs,
                           find_k_best_common, top_k)
 
 # two-common-word candidates tried per window by the fixed-length baseline
@@ -49,22 +49,20 @@ def cross_concat(left: Sequence[ScoredPhrase], right: Sequence[ScoredPhrase],
 
 
 def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
-               lexicon: SynonymLexicon, config: SubstituterConfig,
-               sub_cache: dict | None = None) -> CorrectionResult:
+               lexicon: SynonymLexicon, config: SubstituterConfig) -> CorrectionResult:
     """Chart decoding: per-span candidate lists combined bottom-up.
 
     Every span [i, j] first gets its retrieved candidates; spans longer than
     one word are then augmented, for each split point, with all pairwise
     concatenations of the two sub-span cells, rescored as whole phrases, and
     truncated back to k. The top entry of the full-span cell is the output.
-    ``sub_cache`` (phrase tuple -> candidate list) may be shared across
-    sentences corrected under one configuration.
     """
     tokens = tuple(sentence)
     if not tokens:
         raise ValueError("cannot correct an empty sentence")
     n = len(tokens)
-    stats = {"split_evals": 0, "sub_calls": 0}
+    sub = find_best_subs(index, lm, lexicon, tokens, config)
+    stats = {"split_evals": 0, "sub_calls": len(sub)}
 
     score_memo: dict[tuple[str, ...], float] = {}
 
@@ -74,19 +72,6 @@ def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
             s = lm.score_sequence(seq)
             score_memo[seq] = s
         return s
-
-    sub: dict[tuple[int, int], list[ScoredPhrase]] = {}
-    for i in range(n):
-        for j in range(i, n):
-            phrase = tokens[i:j + 1]
-            stats["sub_calls"] += 1
-            if sub_cache is not None and phrase in sub_cache:
-                sub[(i, j)] = sub_cache[phrase]
-                continue
-            cell = find_best_sub(index, lm, lexicon, phrase, config)
-            if sub_cache is not None:
-                sub_cache[phrase] = cell
-            sub[(i, j)] = cell
 
     rep: dict[tuple[int, int], list[ScoredPhrase]] = {}
     for i in range(n):

@@ -4,12 +4,18 @@ combination.
 
 All components are similarities in [0, 1], higher is better. Word-order
 violations under rigid mode yield the REJECT sentinel instead of a score.
+
+``combined_score`` runs the one similarity kernel, ``PhraseScore``, over a
+single (P, R) pair; the stage-1 sweep of ``substituter`` runs it over every
+span of a sentence. ``f1_similarity``, ``f2_synset`` and ``f3_word_order``
+compute the components independently of the kernel and serve as its
+reference.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Sequence
+from bisect import bisect_left
+from typing import Collection, Sequence
 
 from .lexicon import SynonymLexicon
 
@@ -28,7 +34,6 @@ MODES = ("A", "B", "C", "D")
 ALIGN_THRESHOLD = 3
 
 
-@lru_cache(maxsize=None)
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance with substitution as a single operation."""
     if a == b:
@@ -132,6 +137,108 @@ def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str], mode: str,
     raise ValueError(f"unknown word-order mode {mode!r}")
 
 
+def word_table(word: str, vocabulary: Collection[str],
+               lexicon: SynonymLexicon) -> dict[str, tuple[int, float, bool]]:
+    """Levenshtein distance, normalized distance and synset match of ``word``
+    against each word of ``vocabulary``."""
+    table = {}
+    for r in vocabulary:
+        d = levenshtein(word, r)
+        table[r] = (d, d / max(len(word), len(r)), lexicon.share_synset(word, r))
+    return table
+
+
+def word_term(table: dict[str, tuple[int, float, bool]],
+              r_tokens: Sequence[str]) -> tuple[float, bool, tuple[int, ...]]:
+    """What one word of P contributes against R, read from its ``word_table``:
+    its least normalized distance to a word of R, whether R holds a
+    synset-mate, and the positions of R it may align to, nearest first and
+    leftmost among equals."""
+    nearest = None
+    mate = False
+    reach = []
+    for pos, r in enumerate(r_tokens):
+        d, norm, syn = table[r]
+        if nearest is None or norm < nearest:
+            nearest = norm
+        mate = mate or syn
+        if d < ALIGN_THRESHOLD:
+            reach.append((d, pos))
+    reach.sort()
+    return nearest, mate, tuple(pos for _, pos in reach)
+
+
+class PhraseScore:
+    """The combined score of one phrase R against a phrase P that grows by
+    one word on the right per ``add``; ``value()`` equals
+    ``combined_score(P, R, lexicon, mode)`` float for float.
+
+    f1 and f2 are running sums over P's words, taken in P's order. Greedy
+    alignment goes left to right, so the alignment for P plus one word
+    extends the one for P. Each word-order component follows the aligned
+    positions of R as they are appended: rigid order holds while each lies
+    right of all before it; the LCS against the sorted positions is their
+    longest increasing subsequence (patience tails); and each one adds the
+    earlier positions right of it as inversions.
+    """
+
+    __slots__ = ("mode", "n", "total", "matched", "used", "aligned", "tails",
+                 "inversions", "order")
+
+    def __init__(self, mode: str):
+        self.mode = mode
+        self.n = 0
+        self.total = 0.0
+        self.matched = 0
+        self.used = 0  # bit mask of the aligned positions of R
+        self.aligned = 0
+        self.tails: list[int] = []
+        self.inversions = 0
+        self.order = REJECT if mode == "B" else 0.0
+
+    def add(self, term: tuple[float, bool, tuple[int, ...]]):
+        """Extend P by the word whose ``word_term`` against R is ``term``."""
+        nearest, mate, reach = term
+        self.n += 1
+        self.total += nearest
+        self.matched += mate
+        if self.mode == "A":
+            return
+        for pos in reach:
+            if not self.used >> pos & 1:
+                break
+        else:
+            return
+        later = (self.used >> pos).bit_count()
+        self.used |= 1 << pos
+        self.aligned += 1
+        if self.mode == "B":
+            rigid = not later and (self.aligned == 1 or self.order is not REJECT)
+            self.order = 1.0 if rigid else REJECT
+        elif self.mode == "C":
+            tails = self.tails
+            at = bisect_left(tails, pos)
+            tails[at:at + 1] = [pos]
+            self.order = len(tails) / self.aligned
+        else:
+            self.inversions += later
+            self.order = 1.0 / (1.0 + self.inversions)
+
+    def value(self):
+        """Equally weighted mean of the components, or REJECT."""
+        # sum() as in the reference mean: from Python 3.12 it rounds
+        # differently from chained +, and stage-1 ties sort on the last bit
+        f1 = min(1.0, max(0.0, 1.0 - self.total / self.n))
+        f2 = self.matched / self.n
+        if self.mode == "C" or self.mode == "D":
+            w = 1.0 / 3
+            return sum((w * f1, w * f2, w * self.order))
+        if self.order is REJECT:
+            return REJECT
+        w = 1.0 / 2
+        return sum((w * f1, w * f2))
+
+
 def combined_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
                    lexicon: SynonymLexicon, mode: str):
     """Equally weighted mean of the components ``mode`` enables, or REJECT.
@@ -139,16 +246,11 @@ def combined_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
     mode A: f1 + f2; B: f1 + f2 gated by rigid word order; C adds the LCS
     word-order component; D the inversion-pair one.
     """
-    parts = [f1_similarity(p_tokens, r_tokens),
-             f2_synset(p_tokens, r_tokens, lexicon)]
-    if mode == "B":
-        if f3_word_order(p_tokens, r_tokens, "rigid", ALIGN_THRESHOLD) is REJECT:
-            return REJECT
-    elif mode == "C":
-        parts.append(f3_word_order(p_tokens, r_tokens, "lcs", ALIGN_THRESHOLD))
-    elif mode == "D":
-        parts.append(f3_word_order(p_tokens, r_tokens, "inversion", ALIGN_THRESHOLD))
-    elif mode != "A":
+    if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    w = 1.0 / len(parts)
-    return sum(w * v for v in parts)
+    if not p_tokens or not r_tokens:
+        raise ValueError("phrases must be non-empty")
+    state = PhraseScore(mode)
+    for p in p_tokens:
+        state.add(word_term(word_table(p, r_tokens, lexicon), r_tokens))
+    return state.value()

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .distance import levenshtein
 from .lm import LanguageModel
 
 

@@ -7,10 +7,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .distance import MODES, REJECT, combined_score
+from .distance import MODES, REJECT, PhraseScore, word_table, word_term
 from .lexicon import SynonymLexicon
 from .lm import LanguageModel
-from .phrase_index import PhraseDoc, PhraseIndex
+from .phrase_index import PhraseIndex
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,66 @@ def find_best_sub(index: PhraseIndex, lm: LanguageModel, lexicon: SynonymLexicon
     query = tuple(phrase)
     if not query:
         raise ValueError("empty phrase")
-    scored: list[tuple[float, PhraseDoc]] = []
-    for docid in index.retrieve(query, config.d_t):
-        doc = index.docs[docid]
-        s = combined_score(query, doc.tokens, lexicon, config.mode)
-        if s is REJECT:
-            continue
-        scored.append((s, doc))
-    scored.sort(key=lambda item: (-item[0], item[1].tokens))
-    pool = [ScoredPhrase(doc.tokens, doc.lm_score) for _, doc in scored[:config.t_pool]]
+    return _sweep(index, lm, lexicon, query, config, False)[(0, len(query) - 1)]
+
+
+def find_best_subs(index: PhraseIndex, lm: LanguageModel, lexicon: SynonymLexicon,
+                   sentence: Sequence[str],
+                   config: SubstituterConfig) -> dict[tuple[int, int], list[ScoredPhrase]]:
+    """``find_best_sub`` of every span ``sentence[i:j + 1]``, keyed ``(i, j)``,
+    with stage 1 scored once for the whole sentence."""
+    tokens = tuple(sentence)
+    if not tokens:
+        raise ValueError("empty sentence")
+    return _sweep(index, lm, lexicon, tokens, config, True)
+
+
+def _sweep(index, lm, lexicon, tokens, config, all_spans):
+    """Candidate lists of every span of ``tokens``, or of the whole of it
+    only.
+
+    Each distinct word is retrieved and scored against the words of the
+    retrieved docs once. Each start then grows its span one word at a time,
+    carrying one ``PhraseScore`` per retrieved doc, so a span's distance
+    scores cost one ``add`` per doc instead of a rescan of the span.
+    """
+    n = len(tokens)
+    docs = index.docs
+    hits = {w: index.retrieve((w,), config.d_t) for w in set(tokens)}
+    retrieved = set().union(*hits.values())
+    vocabulary = {r for d in retrieved for r in docs[d].tokens}
+    terms = {}
+    for w in hits:
+        table = word_table(w, vocabulary, lexicon)
+        terms[w] = {d: word_term(table, docs[d].tokens) for d in retrieved}
+    phrases = {d: ScoredPhrase(docs[d].tokens, docs[d].lm_score) for d in retrieved}
+    cells = {}
+    for i in range(n if all_spans else 1):
+        states: dict[int, PhraseScore] = {}
+        for j in range(i, n):
+            column = terms[tokens[j]]
+            for d, state in states.items():
+                state.add(column[d])
+            for d in hits[tokens[j]]:
+                if d not in states:
+                    states[d] = state = PhraseScore(config.mode)
+                    for t in range(i, j + 1):
+                        state.add(terms[tokens[t]][d])
+            if all_spans or j == n - 1:
+                cells[(i, j)] = _rank(tokens[i:j + 1], states, phrases, lm, config)
+    return cells
+
+
+def _rank(query, states, phrases, lm, config):
+    """Stage 1 cut to t_pool by distance score, ties by tokens then docid,
+    the identity seeded, then stage 2's k best by LM score."""
+    scored = []
+    for d, state in states.items():
+        s = state.value()
+        if s is not REJECT:
+            scored.append((-s, phrases[d].tokens, d))
+    scored.sort()
+    pool = [phrases[d] for _, _, d in scored[:config.t_pool]]
     if query not in {c.tokens for c in pool}:
         pool.append(ScoredPhrase(query, lm.score_sequence(query)))
     return top_k(pool, config.k)

@@ -104,12 +104,10 @@ def noisy_suite(synth_lm, synth_index):
 def test_never_worse_with_strict_improvement(synth_lm, synth_index, noisy_suite):
     cfg = SubstituterConfig(k=5, t_pool=200, mode="C")
     lex = SynonymLexicon()
-    cache = {}
     improved = 0
     start = time.perf_counter()
     for sentence in noisy_suite:
-        result = correct_dp(sentence, synth_index, synth_lm, lex, cfg,
-                            sub_cache=cache)
+        result = correct_dp(sentence, synth_index, synth_lm, lex, cfg)
         assert result.score_after >= result.score_before - 1e-9
         if result.score_after > result.score_before + 1e-9:
             improved += 1

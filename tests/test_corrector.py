@@ -165,18 +165,6 @@ class TestCorrectDp:
         with pytest.raises(ValueError):
             correct_dp((), index, lm, SynonymLexicon(), SubstituterConfig())
 
-    def test_sub_cache_is_transparent(self):
-        corpus = [("aa", "bb", "cc", "dd")] * 4
-        lm, docs, index = make_setup(corpus)
-        cfg = SubstituterConfig(k=3, t_pool=10)
-        cache = {}
-        sentence = ("aa", "bb", "cc")
-        plain = correct_dp(sentence, index, lm, SynonymLexicon(), cfg)
-        warm1 = correct_dp(sentence, index, lm, SynonymLexicon(), cfg, sub_cache=cache)
-        warm2 = correct_dp(sentence, index, lm, SynonymLexicon(), cfg, sub_cache=cache)
-        assert plain.corrected == warm1.corrected == warm2.corrected
-        assert plain.score_after == warm2.score_after
-
 
 class TestCorrectFixed:
     def chain_setup(self):

@@ -4,8 +4,9 @@ import pytest
 
 from phrasefix import (REJECT, ScoredPhrase, SubstituterConfig,
                        SynonymLexicon, build_index, combined_score, find_best_sub,
-                       find_k_best_common, levenshtein, train_counts)
+                       find_k_best_common, levenshtein, load_lexicon, train_counts)
 from phrasefix.phrase_index import PhraseDoc
+from phrasefix.substituter import find_best_subs
 
 from conftest import random_word
 
@@ -123,6 +124,48 @@ class TestFindBestSub:
         for bad in ({"k": 10, "t_pool": 5}, {"k": 0}, {"mode": "E"}, {"d_t": 0}):
             with pytest.raises(ValueError):
                 SubstituterConfig(**bad)
+
+
+class TestFindBestSubs:
+    def test_every_cell_matches_full_scan_oracle(self):
+        # The per-sentence sweep must give each span exactly the list the
+        # full-scan reference gives it: same floats, same stage-1 cut.
+        rng = random.Random(31)
+        grew = repeats = 0
+        for trial in range(40):
+            vocab = [random_word(rng, 2, 5) for _ in range(rng.randint(6, 12))]
+            lex = load_lexicon(" ".join(vocab[:3]) + "\n" + " ".join(vocab[2:5]) + "\n")
+            corpus = [tuple(rng.choice(vocab) for _ in range(rng.randint(2, 5)))
+                      for _ in range(14)]
+            lm = train_counts(corpus, 2)
+            grams = sorted({tuple(s[a:a + 3]) for s in corpus for a in range(len(s) - 1)})
+            rng.shuffle(grams)  # so that docid order is not token order
+            docs = [PhraseDoc(i, g, lm.score_sequence(g)) for i, g in enumerate(grams)]
+            index = build_index(docs)
+            t_pool = rng.choice([1, 3, 8, 50])
+            cfg = SubstituterConfig(k=rng.randint(1, min(5, t_pool)), t_pool=t_pool,
+                                    mode="ABCD"[trial % 4], d_t=trial // 4 % 3 + 1)
+            n = rng.randint(2, 7)
+            sentence = [rng.choice(vocab + [random_word(rng, 2, 5)]) for _ in range(n)]
+            a, b = rng.sample(range(n), 2)
+            sentence[b] = sentence[a]
+            sentence = tuple(sentence)
+            repeats += len(set(sentence)) < n
+
+            cells = find_best_subs(index, lm, lex, sentence, cfg)
+            assert sorted(cells) == [(i, j) for i in range(n) for j in range(i, n)]
+            for (i, j), cell in cells.items():
+                assert cell == oracle_best_sub(docs, lm, lex, sentence[i:j + 1], cfg)
+                if j > i and set(index.retrieve(sentence[i:j], cfg.d_t)) < \
+                        set(index.retrieve(sentence[i:j + 1], cfg.d_t)):
+                    grew += 1
+        assert repeats == 40
+        assert grew > 0
+
+    def test_empty_sentence_rejected(self, toy_setup):
+        lm, docs, index = toy_setup
+        with pytest.raises(ValueError):
+            find_best_subs(index, lm, SynonymLexicon(), (), SubstituterConfig())
 
 
 class TestFindKBestCommon:
