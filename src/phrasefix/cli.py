@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 
@@ -42,6 +43,8 @@ def _open_out(path):
 
 
 def cmd_train_lm(args) -> int:
+    if args.order < 1:
+        return _usage_error(f"--order must be >= 1, got {args.order}")
     corpus = _read_sentences(args.corpus)
     model = lm_mod.train_counts(corpus, args.order)
     with _open_out(args.out) as fh:
@@ -50,25 +53,33 @@ def cmd_train_lm(args) -> int:
 
 
 def cmd_build_index(args) -> int:
+    try:
+        orders = [int(x) for x in args.orders.split(",")] if args.orders else None
+    except ValueError:
+        return _usage_error(f"--orders must be comma-separated integers, got {args.orders!r}")
     with open(args.lm, encoding="utf-8") as fh:
         model = lm_mod.parse_arpa(fh)
-    if args.orders:
-        orders = [int(x) for x in args.orders.split(",")]
-    else:
+    if orders is None:
         orders = list(range(2, model.order + 1)) or [1]
-    docs = phrase_index.extract_phrases(model, orders)
+    try:
+        docs = phrase_index.extract_phrases(model, orders)
+    except ValueError as exc:  # orders outside 1..model order
+        return _usage_error(f"--orders: {exc}")
     index = phrase_index.build_index(docs)
     phrase_index.save_index(index, args.out)
     return EXIT_OK
 
 
 def cmd_inject_noise(args) -> int:
+    try:
+        spec = evaluation.NoiseSpec(
+            seed=args.seed, swap_adjacent=args.swaps, delete_word=args.deletions,
+            substitute_word=args.substitutions, typo_char=args.typos)
+    except ValueError as exc:
+        return _usage_error(exc)
     sentences = _read_sentences(args.input)
     vocab = tuple(sorted({w for s in sentences for w in s}))
-    spec = evaluation.NoiseSpec(
-        seed=args.seed, swap_adjacent=args.swaps, delete_word=args.deletions,
-        substitute_word=args.substitutions, typo_char=args.typos,
-        vocabulary=vocab)
+    spec = dataclasses.replace(spec, vocabulary=vocab)
     lexicon = None
     if args.lexicon:
         with open(args.lexicon, encoding="utf-8") as fh:

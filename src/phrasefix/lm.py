@@ -46,7 +46,6 @@ class LanguageModel:
             raise ValueError("model order must be >= 1")
         self.order = order
         self.tables = tables
-        self.vocabulary = frozenset(g[0] for g in tables.get(1, {}))
 
     def score_word(self, word: str, history: Iterable[str] = ()) -> float:
         """log10 P(word | history), backing off to shorter histories."""

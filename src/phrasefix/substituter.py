@@ -38,44 +38,28 @@ class SubstituterConfig:
             raise ValueError("d_t must be >= 1")
 
 
-def find_best_sub(index: PhraseIndex, lm: LanguageModel, lexicon: SynonymLexicon,
-                  phrase: Sequence[str], config: SubstituterConfig) -> list[ScoredPhrase]:
-    """Up to k replacement candidates for ``phrase``.
-
-    Stage 1 retrieves the fuzzy-matching phrase documents and keeps the
-    t_pool best by combined distance score (rejects dropped); stage 2
-    re-ranks that pool by LM score. The original phrase is seeded into the
-    pool before the final truncation, so the list is never empty.
-    """
-    query = tuple(phrase)
-    if not query:
-        raise ValueError("empty phrase")
-    return _sweep(index, lm, lexicon, query, config, False)[(0, len(query) - 1)]
-
-
 def find_best_subs(index: PhraseIndex, lm: LanguageModel, lexicon: SynonymLexicon,
                    sentence: Sequence[str],
                    config: SubstituterConfig) -> dict[tuple[int, int], list[ScoredPhrase]]:
-    """``find_best_sub`` of every span ``sentence[i:j + 1]``, keyed ``(i, j)``,
-    with stage 1 scored once for the whole sentence."""
-    tokens = tuple(sentence)
-    if not tokens:
-        raise ValueError("empty sentence")
-    return _sweep(index, lm, lexicon, tokens, config, True)
+    """Up to k replacement candidates for every span ``sentence[i:j + 1]``,
+    keyed ``(i, j)``.
 
-
-def _sweep(index, lm, lexicon, tokens, config, all_spans):
-    """Candidate lists of every span of ``tokens``, or of the whole of it
-    only.
+    Stage 1 retrieves the phrase documents that fuzzy-match a word of the
+    span and keeps the t_pool best by combined distance score (rejects
+    dropped); stage 2 re-ranks that pool by LM score. The span itself is
+    seeded into the pool before the final truncation, so no list is empty.
 
     Each distinct word is retrieved and scored against the words of the
     retrieved docs once. Each start then grows its span one word at a time,
     carrying one ``PhraseScore`` per retrieved doc, so a span's distance
     scores cost one ``add`` per doc instead of a rescan of the span.
     """
+    tokens = tuple(sentence)
+    if not tokens:
+        raise ValueError("empty sentence")
     n = len(tokens)
     docs = index.docs
-    hits = {w: index.retrieve((w,), config.d_t) for w in set(tokens)}
+    hits = {w: index.retrieve(w, config.d_t) for w in set(tokens)}
     retrieved = set().union(*hits.values())
     vocabulary = {r for d in retrieved for r in docs[d].tokens}
     terms = {}
@@ -84,7 +68,7 @@ def _sweep(index, lm, lexicon, tokens, config, all_spans):
         terms[w] = {d: word_term(table, docs[d].tokens) for d in retrieved}
     phrases = {d: ScoredPhrase(docs[d].tokens, docs[d].lm_score) for d in retrieved}
     cells = {}
-    for i in range(n if all_spans else 1):
+    for i in range(n):
         states: dict[int, PhraseScore] = {}
         for j in range(i, n):
             column = terms[tokens[j]]
@@ -95,8 +79,7 @@ def _sweep(index, lm, lexicon, tokens, config, all_spans):
                     states[d] = state = PhraseScore(config.mode)
                     for t in range(i, j + 1):
                         state.add(terms[tokens[t]][d])
-            if all_spans or j == n - 1:
-                cells[(i, j)] = _rank(tokens[i:j + 1], states, phrases, lm, config)
+            cells[(i, j)] = _rank(tokens[i:j + 1], states, phrases, lm, config)
     return cells
 
 

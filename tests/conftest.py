@@ -39,6 +39,11 @@ def random_word(rng, lo=3, hi=7):
     return "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(lo, hi)))
 
 
+def retrieve_any(index, words, d_t):
+    """Sorted docids that ``index.retrieve`` gives for any of ``words``."""
+    return sorted(set().union(*(index.retrieve(w, d_t) for w in words)))
+
+
 @pytest.fixture(scope="session")
 def synth_lm():
     return train_counts(synth_corpus(1000, seed=7), order=4)

@@ -4,15 +4,11 @@ rebuilt sentence as a whole, and keep the best."""
 
 import itertools
 
-from phrasefix import find_best_sub
+from phrasefix import find_best_subs
 
 
 def span_candidates(tokens, index, lm, lexicon, config):
-    n = len(tokens)
-    return {
-        (i, j): find_best_sub(index, lm, lexicon, tokens[i:j + 1], config)
-        for i in range(n) for j in range(i, n)
-    }
+    return find_best_subs(index, lm, lexicon, tokens, config)
 
 
 def segmentations(n):

@@ -16,7 +16,7 @@ from phrasefix import (NoiseSpec, ScoredPhrase, SubstituterConfig,
                        train_counts)
 from phrasefix.corrector import cross_concat
 from phrasefix.substituter import top_k
-from phrasefix.distance import align, count_inversions, f3_word_order
+from distance_oracle import align, count_inversions, f3_word_order
 from phrasefix.phrase_index import PhraseDoc, TrieDictionary
 
 from conftest import random_word, synth_corpus

@@ -38,6 +38,12 @@ class TestTrainLm:
     def test_missing_required_flag_is_usage_error(self, tmp_path):
         assert main(["train-lm", "--corpus", str(tmp_path / "c.txt")]) == 1
 
+    def test_order_zero_is_usage_error_before_reading(self, tmp_path):
+        out = tmp_path / "m.arpa"
+        assert main(["train-lm", "--corpus", str(tmp_path / "nope.txt"), "--order", "0",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestBuildIndex:
     def test_round_trip_retrieval(self, workspace):
@@ -50,7 +56,7 @@ class TestBuildIndex:
         model = train_counts(sentences, 3)
         grams = set(model.tables[2]) | set(model.tables[3])
         assert {d.tokens for d in index.docs} == grams
-        assert index.retrieve(sentences[0][:2], 2)
+        assert index.retrieve(sentences[0][0], 2)
 
     def test_explicit_orders(self, workspace):
         tmp, corpus, _ = workspace
@@ -59,6 +65,22 @@ class TestBuildIndex:
         main(["train-lm", "--corpus", str(corpus), "--order", "3", "--out", str(arpa)])
         main(["build-index", "--lm", str(arpa), "--orders", "2", "--out", str(idx)])
         assert {len(d.tokens) for d in load_index(idx).docs} == {2}
+
+    def test_non_integer_orders_are_usage_error_before_reading(self, tmp_path):
+        idx = tmp_path / "phrases.idx"
+        assert main(["build-index", "--lm", str(tmp_path / "nope.arpa"),
+                     "--orders", "2,x", "--out", str(idx)]) == 1
+        assert not idx.exists()
+
+    @pytest.mark.parametrize("orders", ["0", "2,4"])
+    def test_orders_outside_model_order_are_usage_error(self, workspace, orders):
+        tmp, corpus, _ = workspace
+        arpa = tmp / "model.arpa"
+        idx = tmp / "phrases.idx"
+        main(["train-lm", "--corpus", str(corpus), "--order", "3", "--out", str(arpa)])
+        assert main(["build-index", "--lm", str(arpa), "--orders", orders,
+                     "--out", str(idx)]) == 1
+        assert not idx.exists()
 
 
 class TestInjectNoise:
@@ -73,6 +95,14 @@ class TestInjectNoise:
         noisy = [tuple(line.split()) for line in out1.read_text().splitlines()]
         assert len(noisy) == len(sentences)
         assert any(n != s for n, s in zip(noisy, sentences))
+
+    @pytest.mark.parametrize("flag", ["--swaps", "--deletions", "--substitutions",
+                                      "--typos"])
+    def test_negative_count_is_usage_error_before_reading(self, tmp_path, flag):
+        out = tmp_path / "noisy.txt"
+        assert main(["inject-noise", "--in", str(tmp_path / "nope.txt"), flag, "-1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_zero_ops_round_trips_corpus(self, workspace):
         tmp, corpus, sentences = workspace
@@ -198,6 +228,15 @@ class TestCorrect:
         arpa, idx = self.build(tmp, corpus)  # order 2
         lines = ["", " ".join(sentences[0][:4])]
         assert self.correct(tmp, arpa, idx, lines, algorithm, options) == (1, [])
+
+    def test_doc_tokens_twice_is_data_error(self, workspace):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        lines = idx.read_text().splitlines(keepends=True)
+        docid, score, _ = lines[3].split("\t")
+        lines[3] = "\t".join([docid, score, lines[2].split("\t")[2]])
+        idx.write_text("".join(lines))
+        assert self.correct(tmp, arpa, idx, [" ".join(sentences[0][:4])]) == (2, [])
 
     @pytest.mark.parametrize("damage", ["arpa", "index"])
     def test_non_finite_number_in_a_file_is_data_error(self, workspace, damage):

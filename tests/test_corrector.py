@@ -107,6 +107,22 @@ class TestCorrectDp:
         oracle = exhaustive_best_score(sentence, index, lm, lex, cfg)
         assert result.score_after == pytest.approx(oracle, abs=1e-9)
 
+    def test_index_keeps_no_state_between_sentences(self):
+        # nothing on the index, or on its trie, grows with the input
+        rng = random.Random(23)
+        _, lm, index, config = random_instance(rng)
+
+        def sizes():
+            return {name: len(value) for obj in (index, index.dictionary)
+                    for name, value in vars(obj).items() if hasattr(value, "__len__")}
+
+        names, before = sorted(vars(index)), sizes()
+        for _ in range(5):
+            sentence = tuple(random_word(rng, 3, 6) for _ in range(4))
+            correct_dp(sentence, index, lm, SynonymLexicon(), config)
+        assert sorted(vars(index)) == names
+        assert sizes() == before
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_split_evaluation_count(self, n):
         corpus = [tuple("abcdefgh"[:max(2, n)])] * 3

@@ -227,7 +227,7 @@ class TestTraining:
 
     def test_model_mass_never_exceeds_one(self):
         lm = train_counts(synth_corpus(40, seed=5), 2)
-        vocab = sorted(lm.vocabulary)
+        vocab = sorted(g[0] for g in lm.tables[1])
         for hist in [()] + [(w,) for w in vocab[:10]]:
             total = sum(10.0 ** lm.score_word(w, hist) for w in vocab)
             assert total <= 1.0 + 1e-9

@@ -5,7 +5,7 @@ import pytest
 from phrasefix import build_index, extract_phrases, levenshtein, load_index, save_index, train_counts
 from phrasefix.phrase_index import PhraseDoc, TrieDictionary
 
-from conftest import random_word
+from conftest import random_word, retrieve_any
 
 
 def make_docs(token_lists):
@@ -79,15 +79,16 @@ class TestBuildIndex:
     def test_dictionary_holds_exactly_doc_words(self):
         docs = make_docs(["a b", "b c", "ccc"])
         index = build_index(docs)
-        assert sorted(index.dictionary.words()) == ["a", "b", "c", "ccc"]
-        assert "a" in index.dictionary
-        assert "zz" not in index.dictionary
+        # every word of length < 4 is within distance 4 of the empty query
+        assert index.dictionary.fuzzy_lookup("", 4) == {"a", "b", "c", "ccc"}
+        assert index.dictionary.fuzzy_lookup("a", 1) == {"a"}
+        assert index.dictionary.fuzzy_lookup("zz", 1) == set()
 
 
 class TestFuzzyLookup:
     def test_exact_word_always_found(self):
         index = build_index(make_docs(["cat dog", "cart"]))
-        assert "cat" in index.expand_query_word("cat", 1)
+        assert index.dictionary.fuzzy_lookup("cat", 1) == {"cat"}
 
     def test_cart_matches_cat(self):
         trie = TrieDictionary(["cat", "dog"])
@@ -115,23 +116,27 @@ class TestRetrieve:
 
     def test_verbatim_word_retrieves_doc(self, index):
         idx, _ = index
-        doc = idx.docs[5]
-        assert 5 in idx.retrieve(doc.tokens, 2)
+        for word in idx.docs[5].tokens:
+            assert 5 in idx.retrieve(word, 1)
 
     def test_unknown_far_words_give_empty(self, index):
         idx, _ = index
-        assert idx.retrieve(("qqqqqqqqqqqqqqq",), 2) == []
+        assert idx.retrieve("qqqqqqqqqqqqqqq", 2) == []
 
     def test_matches_brute_force(self, index):
         idx, vocab = index
         rng = random.Random(13)
-        for _ in range(30):
-            query = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
-            d_t = rng.randint(1, 3)
-            expected = sorted(
-                d.docid for d in idx.docs
-                if any(levenshtein(q, w) < d_t for q in query for w in d.tokens))
-            assert idx.retrieve(query, d_t) == expected
+        for _ in range(60):
+            word = rng.choice([rng.choice(vocab), random_word(rng, 2, 7)])
+            d_t = rng.randint(1, 4)
+            expected = [d.docid for d in idx.docs
+                        if any(levenshtein(word, w) < d_t for w in d.tokens)]
+            assert idx.retrieve(word, d_t) == expected
+
+    def test_threshold_below_one_rejected(self, index):
+        idx, vocab = index
+        with pytest.raises(ValueError):
+            idx.retrieve(vocab[0], 0)
 
     def test_monotone_in_threshold(self, index):
         idx, vocab = index
@@ -140,7 +145,7 @@ class TestRetrieve:
             query = tuple(rng.choice(vocab) for _ in range(2))
             prev = set()
             for d_t in (1, 2, 3):
-                out = set(idx.retrieve(query, d_t))
+                out = set(retrieve_any(idx, query, d_t))
                 assert prev <= out
                 prev = out
 
@@ -149,8 +154,8 @@ class TestPersistence:
     def test_round_trip_retrieval_identical(self, tmp_path):
         rng = random.Random(31)
         vocab = [random_word(rng, 3, 6) for _ in range(12)]
-        index = build_index(make_docs(
-            [" ".join(rng.choice(vocab) for _ in range(2)) for _ in range(40)]))
+        phrases = [" ".join(rng.choice(vocab) for _ in range(2)) for _ in range(40)]
+        index = build_index(make_docs(list(dict.fromkeys(phrases))))  # each phrase once
         path = tmp_path / "phrases.idx"
         save_index(index, path)
         loaded = load_index(path)
@@ -158,7 +163,7 @@ class TestPersistence:
             [(d.docid, d.tokens, d.lm_score) for d in index.docs]
         for _ in range(10):
             query = tuple(rng.choice(vocab) for _ in range(2))
-            assert loaded.retrieve(query, 3) == index.retrieve(query, 3)
+            assert retrieve_any(loaded, query, 3) == retrieve_any(index, query, 3)
 
     def test_stored_postings_are_not_trusted(self, tmp_path):
         index = build_index(make_docs(["a b", "b c", "c d"]))
@@ -170,7 +175,7 @@ class TestPersistence:
         path.write_text("".join(lines))
         loaded = load_index(path)
         assert loaded.postings == index.postings
-        assert loaded.retrieve(("b",), 2) == index.retrieve(("b",), 2)
+        assert loaded.retrieve("b", 2) == index.retrieve("b", 2)
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_doc_score_rejected(self, tmp_path, score):
@@ -181,6 +186,12 @@ class TestPersistence:
         lines[3] = f"{docid}\t{score}\t{tokens}"  # the second doc line
         path.write_text("".join(lines))
         with pytest.raises(ValueError, match="doc 1 has non-finite score"):
+            load_index(path)
+
+    def test_same_tokens_twice_rejected(self, tmp_path):
+        path = tmp_path / "phrases.idx"
+        save_index(build_index(make_docs(["a b", "b c", "a b"])), path)
+        with pytest.raises(ValueError, match="docs 0 and 2 have the same tokens"):
             load_index(path)
 
     def test_bad_magic_rejected(self, tmp_path):

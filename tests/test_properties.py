@@ -66,7 +66,7 @@ def test_arpa_round_trip(corpus, order):
 @PROPERTY
 @given(phrases=st.lists(st.tuples(st.lists(WORD, min_size=1, max_size=4),
                                   st.floats(allow_nan=False, allow_infinity=False)),
-                        max_size=8))
+                        max_size=8, unique_by=lambda phrase: tuple(phrase[0])))
 def test_index_round_trip(tmp_path, phrases):
     docs = [PhraseDoc(i, tuple(words), score) for i, (words, score) in enumerate(phrases)]
     path = tmp_path / "phrases.idx"

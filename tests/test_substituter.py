@@ -3,12 +3,16 @@ import random
 import pytest
 
 from phrasefix import (REJECT, ScoredPhrase, SubstituterConfig,
-                       SynonymLexicon, build_index, combined_score, find_best_sub,
+                       SynonymLexicon, build_index, combined_score, find_best_subs,
                        find_k_best_common, levenshtein, load_lexicon, train_counts)
 from phrasefix.phrase_index import PhraseDoc
-from phrasefix.substituter import find_best_subs
 
-from conftest import random_word
+from conftest import random_word, retrieve_any
+
+
+def whole_span(index, lm, lex, phrase, cfg):
+    """The candidate list of the span covering all of ``phrase``."""
+    return find_best_subs(index, lm, lex, phrase, cfg)[(0, len(phrase) - 1)]
 
 
 def oracle_best_sub(docs, lm, lex, phrase, cfg):
@@ -25,9 +29,10 @@ def oracle_best_sub(docs, lm, lex, phrase, cfg):
             continue
         pool.append((s, doc))
     pool.sort(key=lambda item: (-item[0], item[1].tokens))
-    cand = {d.tokens: ScoredPhrase(d.tokens, d.lm_score) for _, d in pool[:cfg.t_pool]}
-    if phrase not in cand:
-        cand[phrase] = ScoredPhrase(phrase, lm.score_sequence(phrase))
+    cand = {}
+    for _, d in pool[:cfg.t_pool]:  # of docs with the same tokens the first counts
+        cand.setdefault(d.tokens, ScoredPhrase(d.tokens, d.lm_score))
+    cand.setdefault(phrase, ScoredPhrase(phrase, lm.score_sequence(phrase)))
     return sorted(cand.values(), key=lambda c: (-c.score, c.tokens))[:cfg.k]
 
 
@@ -52,13 +57,13 @@ class TestFindBestSub:
     def test_verbatim_phrase_is_retrieved(self, toy_setup):
         lm, docs, index = toy_setup
         cfg = SubstituterConfig(k=6, t_pool=10)
-        result = find_best_sub(index, lm, SynonymLexicon(), ("the", "european", "union"), cfg)
+        result = whole_span(index, lm, SynonymLexicon(), ("the", "european", "union"), cfg)
         assert ("the", "european", "union") in {c.tokens for c in result}
 
     def test_toy_output_sorted_by_lm_score(self, toy_setup):
         lm, docs, index = toy_setup
         cfg = SubstituterConfig(k=5, t_pool=10)
-        result = find_best_sub(index, lm, SynonymLexicon(), ("europe", "extreme"), cfg)
+        result = whole_span(index, lm, SynonymLexicon(), ("europe", "extreme"), cfg)
         assert result
         scores = [c.score for c in result]
         assert scores == sorted(scores, reverse=True)
@@ -80,7 +85,7 @@ class TestFindBestSub:
                 k=5, t_pool=rng.choice([5, 25]),
                 mode=rng.choice("ABCD"), d_t=rng.randint(1, 3))
             phrase = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
-            got = find_best_sub(index, lm, lex, phrase, cfg)
+            got = whole_span(index, lm, lex, phrase, cfg)
             assert got == oracle_best_sub(docs, lm, lex, phrase, cfg)
             assert len(got) <= cfg.k
             assert got  # identity seeding keeps the list non-empty
@@ -96,7 +101,7 @@ class TestFindBestSub:
         index = build_index(docs)
         cfg = SubstituterConfig(k=5, t_pool=25, mode="C")
         phrase = (vocab[0], vocab[1])
-        got = find_best_sub(index, lm, SynonymLexicon(), phrase, cfg)
+        got = whole_span(index, lm, SynonymLexicon(), phrase, cfg)
         assert len(got) == 5
         assert got == oracle_best_sub(docs, lm, SynonymLexicon(), phrase, cfg)
 
@@ -104,17 +109,15 @@ class TestFindBestSub:
         lm, docs, index = toy_setup
         cfg = SubstituterConfig(k=4, t_pool=len(docs), mode="A")
         phrase = ("extreme", "right")
-        assert find_best_sub(index, lm, SynonymLexicon(), phrase, cfg) == \
+        assert whole_span(index, lm, SynonymLexicon(), phrase, cfg) == \
             oracle_best_sub(docs, lm, SynonymLexicon(), phrase, cfg)
 
     def test_raising_t_only_displaces_with_better_scores(self, toy_setup):
         lm, docs, index = toy_setup
         lex = SynonymLexicon()
         phrase = ("europe", "extreme", "right")
-        small = find_best_sub(index, lm, lex, phrase,
-                              SubstituterConfig(k=3, t_pool=3))
-        large = find_best_sub(index, lm, lex, phrase,
-                              SubstituterConfig(k=3, t_pool=12))
+        small = whole_span(index, lm, lex, phrase, SubstituterConfig(k=3, t_pool=3))
+        large = whole_span(index, lm, lex, phrase, SubstituterConfig(k=3, t_pool=12))
         large_tokens = {c.tokens for c in large}
         for cand in small:
             if cand.tokens not in large_tokens:
@@ -156,11 +159,25 @@ class TestFindBestSubs:
             assert sorted(cells) == [(i, j) for i in range(n) for j in range(i, n)]
             for (i, j), cell in cells.items():
                 assert cell == oracle_best_sub(docs, lm, lex, sentence[i:j + 1], cfg)
-                if j > i and set(index.retrieve(sentence[i:j], cfg.d_t)) < \
-                        set(index.retrieve(sentence[i:j + 1], cfg.d_t)):
+                if j > i and set(retrieve_any(index, sentence[i:j], cfg.d_t)) < \
+                        set(retrieve_any(index, sentence[i:j + 1], cfg.d_t)):
                     grew += 1
         assert repeats == 40
         assert grew > 0
+
+    def test_same_tokens_first_docid_counts(self, toy_setup):
+        # build_index accepts two docs with the same tokens; the lower docid's
+        # LM score is the one both the sweep and the oracle keep
+        lm, docs, _ = toy_setup
+        copy = PhraseDoc(len(docs), docs[0].tokens, docs[0].lm_score + 5.0)
+        index = build_index(docs + [copy])
+        phrase = ("the", "european", "right")
+        cfg = SubstituterConfig(k=5, t_pool=10)
+        cells = find_best_subs(index, lm, SynonymLexicon(), phrase, cfg)
+        for (i, j), cell in cells.items():
+            assert cell == oracle_best_sub(docs + [copy], lm, SynonymLexicon(),
+                                           phrase[i:j + 1], cfg)
+        assert ScoredPhrase(docs[0].tokens, docs[0].lm_score) in cells[(0, 2)]
 
     def test_empty_sentence_rejected(self, toy_setup):
         lm, docs, index = toy_setup
