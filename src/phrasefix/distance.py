@@ -1,6 +1,6 @@
-"""Word- and phrase-level similarity: Levenshtein distance and the one
-kernel, ``PhraseScore``, for the equally weighted mean of the orthographic
-(f1), synset (f2) and word-order (f3) components.
+"""Word- and phrase-level similarity: ``levenshtein``, shared by retrieval
+and stage 1, and ``PhraseScore``, the one kernel for the equally weighted
+mean of the orthographic (f1), synset (f2) and word-order (f3) components.
 
 All components are similarities in [0, 1], higher is better. Word-order
 violations under rigid mode yield the REJECT sentinel instead of a score.
@@ -9,8 +9,8 @@ words onto R's, each pair at Levenshtein distance below ``ALIGN_THRESHOLD``.
 
 ``combined_score`` runs the kernel over a single (P, R) pair; the stage-1
 sweep of ``substituter.find_best_subs`` runs it over every span of a
-sentence. ``tests/distance_oracle.py`` computes each component
-independently of the kernel as its reference.
+sentence. ``tests/distance_oracle.py`` computes the edit distance and each
+component independently of the kernels as their references.
 """
 
 from __future__ import annotations
@@ -36,18 +36,34 @@ ALIGN_THRESHOLD = 3
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance with substitution as a single operation."""
-    if a == b:
-        return 0
+    """Unit-cost edit distance with substitution as a single operation, by
+    the bit-vector algorithm of Myers (1999) in Hyyrö's (2003) form: the
+    shorter string is the pattern, held in one Python int of any length, and
+    ``tests/distance_oracle.py`` keeps the textbook DP as the reference."""
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(cur[j - 1] + 1, prev[j] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    if a == b or not b:
+        return len(a) - len(b)
+    peq: dict[str, int] = {}  # per call, so any code point works
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    last = 1 << len(b) - 1
+    full = (last << 1) - 1
+    pv, mv, dist = full, 0, len(b)
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)  # set above the pattern too: masked off in pv
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = ph << 1 | 1  # row 0 of the table grows by one per column
+        pv = (mh << 1 | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
 
 
 def word_table(word: str, vocabulary: Collection[str],

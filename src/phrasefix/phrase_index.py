@@ -1,8 +1,8 @@
 """Phrase inventory as an IR problem: every LM n-gram of selected orders is a
-document. A trie over the documents' words answers fuzzy word lookups, and
-an inverted index with sorted postings lists maps each word to its docs.
-``PhraseIndex.retrieve`` takes one query word; the index keeps no state
-between calls."""
+document, and an inverted index with sorted postings lists maps each word to
+its docs. ``PhraseIndex.retrieve`` takes one query word and scans the
+postings' words with ``distance.levenshtein`` for its fuzzy matches; the
+index keeps no state between calls."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, Sequence
 
+from .distance import levenshtein
 from .lm import LanguageModel
 
 
@@ -20,49 +21,6 @@ class PhraseDoc:
     docid: int
     tokens: tuple[str, ...]
     lm_score: float
-
-
-class _TrieNode:
-    __slots__ = ("children", "word")
-
-    def __init__(self):
-        self.children: dict[str, _TrieNode] = {}
-        self.word: str | None = None
-
-
-class TrieDictionary:
-    """Prefix tree over dictionary words with pruned fuzzy lookup."""
-
-    def __init__(self, words: Iterable[str]):
-        self.root = _TrieNode()
-        for word in words:
-            node = self.root
-            for ch in word:
-                node = node.children.setdefault(ch, _TrieNode())
-            node.word = word
-
-    def fuzzy_lookup(self, query: str, max_exclusive: int) -> set[str]:
-        """All stored words at Levenshtein distance strictly below
-        ``max_exclusive``; branches are pruned once every cell of the DP row
-        reaches the bound."""
-        n = len(query)
-        results: set[str] = set()
-        row0 = list(range(n + 1))
-        stack = [(child, ch, row0) for ch, child in self.root.children.items()]
-        if row0[-1] < max_exclusive and self.root.word is not None:
-            results.add(self.root.word)
-        while stack:
-            node, ch, prev = stack.pop()
-            cur = [prev[0] + 1]
-            for j in range(1, n + 1):
-                cur.append(min(cur[j - 1] + 1, prev[j] + 1,
-                               prev[j - 1] + (query[j - 1] != ch)))
-            if min(cur) >= max_exclusive:
-                continue
-            if node.word is not None and cur[-1] < max_exclusive:
-                results.add(node.word)
-            stack.extend((child, c, cur) for c, child in node.children.items())
-        return results
 
 
 def extract_phrases(lm: LanguageModel, orders: Iterable[int]) -> list[PhraseDoc]:
@@ -81,21 +39,24 @@ def extract_phrases(lm: LanguageModel, orders: Iterable[int]) -> list[PhraseDoc]
 
 
 class PhraseIndex:
-    """Immutable phrase-document index with trie dictionary and postings."""
+    """Immutable phrase-document index: the docs, and the sorted postings
+    list of each word they hold."""
 
-    def __init__(self, docs: list[PhraseDoc], dictionary: TrieDictionary,
-                 postings: dict[str, list[int]]):
+    def __init__(self, docs: list[PhraseDoc], postings: dict[str, list[int]]):
         self.docs = docs
-        self.dictionary = dictionary
         self.postings = postings
 
     def retrieve(self, word: str, d_t: int) -> list[int]:
-        """Sorted docids of every doc holding a dictionary word at
-        Levenshtein distance < d_t from ``word``."""
+        """Sorted docids of every doc holding a word at Levenshtein distance
+        < d_t from ``word``."""
         if d_t < 1:
             raise ValueError("d_t must be >= 1")
-        matches = self.dictionary.fuzzy_lookup(word, d_t)
-        return sorted(set().union(*(self.postings[w] for w in matches)))
+        # the length gap bounds the distance from below, so it skips the
+        # kernel for most words without dropping a match
+        n = len(word)
+        return sorted(set().union(*(
+            ids for w, ids in self.postings.items()
+            if abs(len(w) - n) < d_t and levenshtein(word, w) < d_t)))
 
 
 def build_index(docs: Sequence[PhraseDoc]) -> PhraseIndex:
@@ -117,7 +78,7 @@ def build_index(docs: Sequence[PhraseDoc]) -> PhraseIndex:
                 postings[word] = [i]
             elif ids[-1] != i:
                 ids.append(i)
-    return PhraseIndex(list(docs), TrieDictionary(postings), postings)
+    return PhraseIndex(list(docs), postings)
 
 
 _MAGIC = "phrasefix-index"
@@ -147,22 +108,36 @@ def save_index(index: PhraseIndex, path):
 def load_index(path) -> PhraseIndex:
     """Read the docs section of an index file and index them with
     ``build_index``; the stored postings are not read. Two docs with the
-    same tokens are an error."""
+    same tokens are an error, and every error names the file and the line."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header[:1] != [_MAGIC] or len(header) != 2 or header[1] != _VERSION:
             raise ValueError(f"{path}: not a phrasefix index file")
-        kind, count = fh.readline().rstrip("\n").split("\t")
-        if kind != "docs":
-            raise ValueError(f"{path}: malformed docs header")
+        line = fh.readline()
+        kind, _, count = line.rstrip("\n").partition("\t")
+        if kind != "docs" or not count.isdecimal():
+            raise ValueError(f"{path}: line 2: expected 'docs<TAB>count' with a "
+                             f"count >= 0, got {line!r}")
         docs = []
-        for _ in range(int(count)):
-            docid, score, tokens = fh.readline().rstrip("\n").split("\t")
-            docs.append(PhraseDoc(int(docid), tuple(tokens.split()), float(score)))
-            if not math.isfinite(docs[-1].lm_score):
-                raise ValueError(f"{path}: doc {docid} has non-finite score {score!r}")
-        if not fh.readline().startswith("postings\t"):
-            raise ValueError(f"{path}: malformed postings header")
+        for line_no in range(3, 3 + int(count)):
+            line = fh.readline()
+            try:
+                docid, score, tokens = line.rstrip("\n").split("\t")
+                doc = PhraseDoc(int(docid), tuple(tokens.split()), float(score))
+                if doc.docid != len(docs) or not doc.tokens:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: expected doc {len(docs)} of "
+                                 f"{count} as 'docid<TAB>score<TAB>tokens', "
+                                 f"got {line!r}") from None
+            if not math.isfinite(doc.lm_score):
+                raise ValueError(f"{path}: line {line_no}: doc {docid} has non-finite "
+                                 f"score {score!r}")
+            docs.append(doc)
+        line = fh.readline()
+        if not line.startswith("postings\t"):
+            raise ValueError(f"{path}: line {3 + len(docs)}: expected the postings "
+                             f"header after {count} docs, got {line!r}")
     _reject_duplicate_tokens(docs, path)
     return build_index(docs)
 
@@ -178,5 +153,6 @@ def _reject_duplicate_tokens(docs: Sequence[PhraseDoc], path):
     """
     for a, b in pairwise(sorted(docs, key=attrgetter("tokens"))):
         if a.tokens == b.tokens:
-            raise ValueError(f"{path}: docs {a.docid} and {b.docid} have the same "
-                             f"tokens {' '.join(a.tokens)!r}")
+            raise ValueError(f"{path}: lines {a.docid + 3} and {b.docid + 3}: docs "
+                             f"{a.docid} and {b.docid} have the same tokens "
+                             f"{' '.join(a.tokens)!r}")

@@ -1,11 +1,23 @@
 """Independent references for the similarity kernel of ``phrasefix.distance``:
-greedy alignment and each component computed straight from its definition,
-with no shared state, so that tests can compare ``PhraseScore`` and
-``combined_score`` against them."""
+the textbook edit-distance DP, greedy alignment and each component computed
+straight from its definition, with no shared state, so that tests can
+compare ``levenshtein``, ``PhraseScore`` and ``combined_score`` against
+them."""
 
 from typing import Sequence
 
-from phrasefix import REJECT, SynonymLexicon, levenshtein
+from phrasefix import REJECT, SynonymLexicon
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Unit-cost edit distance by the Wagner-Fischer DP, one row at a time."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(cur[j - 1] + 1, prev[j] + 1, prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
 
 
 def align(p_tokens: Sequence[str], r_tokens: Sequence[str],

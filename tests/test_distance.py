@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phrasefix import REJECT, SynonymLexicon, combined_score, levenshtein, load_lexicon
 from phrasefix.distance import ALIGN_THRESHOLD, MODES
@@ -8,6 +10,11 @@ from phrasefix.distance import ALIGN_THRESHOLD, MODES
 from conftest import random_word
 from distance_oracle import (align, count_inversions, f1_similarity, f2_synset,
                              f3_word_order, lcs_length)
+from distance_oracle import levenshtein as reference_levenshtein
+
+# ASCII, Latin-1, a combining mark, CJK and two astral code points (emoji,
+# musical symbol): the kernel keys its bit masks by code point
+CODE_POINTS = "ab\xe9\u0301\u4e2d\U0001f600\U0001d11e"
 
 
 class TestLevenshtein:
@@ -20,6 +27,24 @@ class TestLevenshtein:
     ])
     def test_known_values(self, a, b, d):
         assert levenshtein(a, b) == d
+
+    def test_equals_reference_on_all_short_strings(self):
+        strings = ["".join(t) for n in range(5) for t in itertools.product("abc", repeat=n)]
+        for a in strings:
+            for b in strings:
+                assert levenshtein(a, b) == reference_levenshtein(a, b), (a, b)
+
+    def test_equals_reference_on_long_unicode_strings(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            a, b = ("".join(rng.choice(CODE_POINTS) for _ in range(rng.randint(0, 150)))
+                    for _ in range(2))
+            assert levenshtein(a, b) == reference_levenshtein(a, b), (a, b)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(a=st.text(max_size=80), b=st.text(max_size=80))
+    def test_equals_reference_property(self, a, b):
+        assert levenshtein(a, b) == reference_levenshtein(a, b)
 
     def test_metric_axioms(self):
         rng = random.Random(17)

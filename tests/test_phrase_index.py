@@ -2,14 +2,21 @@ import random
 
 import pytest
 
-from phrasefix import build_index, extract_phrases, levenshtein, load_index, save_index, train_counts
-from phrasefix.phrase_index import PhraseDoc, TrieDictionary
+from phrasefix import build_index, extract_phrases, load_index, save_index, train_counts
+from phrasefix.phrase_index import PhraseDoc
 
 from conftest import random_word, retrieve_any
+from distance_oracle import levenshtein
 
 
 def make_docs(token_lists):
     return [PhraseDoc(i, tuple(t.split()), -float(i)) for i, t in enumerate(token_lists)]
+
+
+def scan(index, word, d_t):
+    """Sorted docids of the docs holding a word at reference distance < d_t."""
+    return [d.docid for d in index.docs
+            if any(levenshtein(word, w) < d_t for w in d.tokens)]
 
 
 class TestExtractPhrases:
@@ -77,32 +84,30 @@ class TestBuildIndex:
         assert covered == set(range(len(docs)))
 
     def test_dictionary_holds_exactly_doc_words(self):
-        docs = make_docs(["a b", "b c", "ccc"])
-        index = build_index(docs)
+        index = build_index(make_docs(["a b", "b c", "ccc", "dddd"]))
         # every word of length < 4 is within distance 4 of the empty query
-        assert index.dictionary.fuzzy_lookup("", 4) == {"a", "b", "c", "ccc"}
-        assert index.dictionary.fuzzy_lookup("a", 1) == {"a"}
-        assert index.dictionary.fuzzy_lookup("zz", 1) == set()
+        assert index.retrieve("", 4) == [0, 1, 2] == scan(index, "", 4)
+        assert index.retrieve("a", 1) == [0]
+        assert index.retrieve("zz", 1) == []
 
 
 class TestFuzzyLookup:
     def test_exact_word_always_found(self):
         index = build_index(make_docs(["cat dog", "cart"]))
-        assert index.dictionary.fuzzy_lookup("cat", 1) == {"cat"}
+        assert index.retrieve("cat", 1) == [0]
 
     def test_cart_matches_cat(self):
-        trie = TrieDictionary(["cat", "dog"])
-        assert trie.fuzzy_lookup("cart", 3) == {"cat"}
+        index = build_index(make_docs(["cat", "dog"]))
+        assert index.retrieve("cart", 3) == [0] == scan(index, "cart", 3)
 
     @pytest.mark.parametrize("d_t", [1, 2, 3])
-    def test_trie_equals_linear_scan(self, d_t):
+    def test_retrieve_equals_linear_scan(self, d_t):
         rng = random.Random(7)
-        words = {random_word(rng, 2, 8) for _ in range(200)}
-        trie = TrieDictionary(words)
+        words = sorted({random_word(rng, 2, 8) for _ in range(200)})
+        index = build_index(make_docs(words))  # one doc per word
         for _ in range(50):
             q = random_word(rng, 2, 8)
-            expected = {w for w in words if levenshtein(q, w) < d_t}
-            assert trie.fuzzy_lookup(q, d_t) == expected
+            assert index.retrieve(q, d_t) == scan(index, q, d_t)
 
 
 class TestRetrieve:
@@ -129,9 +134,7 @@ class TestRetrieve:
         for _ in range(60):
             word = rng.choice([rng.choice(vocab), random_word(rng, 2, 7)])
             d_t = rng.randint(1, 4)
-            expected = [d.docid for d in idx.docs
-                        if any(levenshtein(word, w) < d_t for w in d.tokens)]
-            assert idx.retrieve(word, d_t) == expected
+            assert idx.retrieve(word, d_t) == scan(idx, word, d_t)
 
     def test_threshold_below_one_rejected(self, index):
         idx, vocab = index
