@@ -32,7 +32,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_sentences(path):
-    with open(path, encoding="utf-8") as fh:
+    # an undecodable byte becomes U+FFFD, which ``tokenize`` drops, so one
+    # bad line does not abort the run or shift the output
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return [lm_mod.tokenize(line) for line in fh]
 
 

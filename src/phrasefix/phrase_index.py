@@ -1,13 +1,18 @@
 """Phrase inventory as an IR problem: every LM n-gram of selected orders is a
 document, and an inverted index with sorted postings lists maps each word to
-its docs. ``PhraseIndex.retrieve`` takes one query word and scans the
-postings' words with ``distance.levenshtein`` for its fuzzy matches; the
-index keeps no state between calls."""
+its docs. ``PhraseIndex.retrieve`` takes one query word and finds its fuzzy
+matches among the postings' words: a padded-bigram count filter (Ukkonen
+1992; Gravano et al. 2001) rules out words that cannot be within ``d_t``,
+and ``distance.levenshtein`` verifies the rest. The bigram table is built
+once per index, on the first call, and does not depend on the query or on
+``d_t``; nothing else is kept between calls."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -40,7 +45,8 @@ def extract_phrases(lm: LanguageModel, orders: Iterable[int]) -> list[PhraseDoc]
 
 class PhraseIndex:
     """Immutable phrase-document index: the docs, and the sorted postings
-    list of each word they hold."""
+    list of each word they hold. ``retrieve`` derives a bigram table from
+    the postings' words on its first call."""
 
     def __init__(self, docs: list[PhraseDoc], postings: dict[str, list[int]]):
         self.docs = docs
@@ -48,15 +54,52 @@ class PhraseIndex:
 
     def retrieve(self, word: str, d_t: int) -> list[int]:
         """Sorted docids of every doc holding a word at Levenshtein distance
-        < d_t from ``word``."""
+        < d_t from ``word``.
+
+        Strings at distance k share at least max(|a|, |b|) + 1 - 2k of their
+        padded bigrams (``_bigram_keys``), counted as multisets, because one
+        edit changes at most two of them. So only words that share enough
+        bigrams with ``word``, and whose length gap is below ``d_t``, reach
+        ``levenshtein``; the filter drops no match.
+        """
         if d_t < 1:
             raise ValueError("d_t must be >= 1")
-        # the length gap bounds the distance from below, so it skips the
-        # kernel for most words without dropping a match
-        n = len(word)
+        n, slack = len(word), 2 * (d_t - 1)
+        shared: Counter[str] = Counter()
+        for key in _bigram_keys(word):
+            shared.update(self._by_bigram.get(key, ()))
+        words = shared.keys()
+        if n < slack:
+            # the bound is <= 0 for these short words, so a match may share
+            # no bigram with the query
+            words = words | {w for w in self.postings if len(w) < slack}
         return sorted(set().union(*(
-            ids for w, ids in self.postings.items()
-            if abs(len(w) - n) < d_t and levenshtein(word, w) < d_t)))
+            self.postings[w] for w in words
+            if shared[w] >= max(len(w), n) + 1 - slack
+            and abs(len(w) - n) < d_t and levenshtein(word, w) < d_t)))
+
+    @cached_property
+    def _by_bigram(self) -> dict[tuple[str, int], list[str]]:
+        """The postings' words under each of their bigram keys."""
+        table: dict[tuple[str, int], list[str]] = {}
+        for w in self.postings:
+            for key in _bigram_keys(w):
+                table.setdefault(key, []).append(w)
+        return table
+
+
+def _bigram_keys(word: str) -> list[tuple[str, int]]:
+    """The |word| + 1 bigrams of ``"\\x02" + word + "\\x03"``, the c-th
+    repeat of a bigram keyed ``(bigram, c)``, so that the number of keys two
+    words share is the size of their bigram multisets' intersection."""
+    padded = f"\x02{word}\x03"
+    seen: dict[str, int] = {}
+    keys = []
+    for i in range(len(padded) - 1):
+        bigram = padded[i:i + 2]
+        c = seen[bigram] = seen.get(bigram, 0) + 1
+        keys.append((bigram, c))
+    return keys
 
 
 def build_index(docs: Sequence[PhraseDoc]) -> PhraseIndex:

@@ -195,6 +195,18 @@ class TestCorrect:
         assert records[1] == {"original": "", "corrected": "", "score_before": 0.0,
                               "score_after": 0.0, "kbest": [], "stats": {}}
 
+    def test_undecodable_line_keeps_the_run_aligned(self, workspace):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        first, last = " ".join(sentences[0][:4]), " ".join(sentences[1][:4])
+        inp, out = tmp / "in.txt", tmp / "out.jsonl"
+        inp.write_bytes(f"{first}\n".encode() + b"\xff\xfe bad line\n"
+                        + f"{last}\n".encode())
+        assert main(["correct", "--in", str(inp), "--lm", str(arpa), "--index",
+                     str(idx), "--d-t", "2", "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["original"] for r in records] == [first, "bad line", last]
+
     def test_bad_stored_postings_are_ignored(self, workspace):
         tmp, corpus, sentences = workspace
         arpa, idx = self.build(tmp, corpus)

@@ -108,20 +108,29 @@ class TestCorrectDp:
         assert result.score_after == pytest.approx(oracle, abs=1e-9)
 
     def test_index_keeps_no_state_between_sentences(self):
-        # nothing on the index grows with the input
+        # nothing on the index grows with the input: once the first sentence
+        # has built what the index derives from its own words, later
+        # sentences add nothing
         rng = random.Random(23)
         _, lm, index, config = random_instance(rng)
+
+        def sentence():
+            return tuple(random_word(rng, 3, 6) for _ in range(4))
 
         def sizes():
             return {name: len(value) for name, value in vars(index).items()
                     if hasattr(value, "__len__")}
 
+        correct_dp(sentence(), index, lm, SynonymLexicon(), config)
         names, before = sorted(vars(index)), sizes()
         for _ in range(5):
-            sentence = tuple(random_word(rng, 3, 6) for _ in range(4))
-            correct_dp(sentence, index, lm, SynonymLexicon(), config)
-        assert sorted(vars(index)) == names
-        assert sizes() == before
+            correct_dp(sentence(), index, lm, SynonymLexicon(), config)
+            assert sorted(vars(index)) == names
+            assert sizes() == before
+        # and what it derived does not depend on the queries that built it
+        fresh = build_index(index.docs)
+        fresh.retrieve("zzzzzz", 1)
+        assert fresh._by_bigram == index._by_bigram
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_split_evaluation_count(self, n):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phrasefix import build_index, extract_phrases, load_index, save_index, train_counts
 from phrasefix.phrase_index import PhraseDoc
@@ -100,7 +101,7 @@ class TestFuzzyLookup:
         index = build_index(make_docs(["cat", "dog"]))
         assert index.retrieve("cart", 3) == [0] == scan(index, "cart", 3)
 
-    @pytest.mark.parametrize("d_t", [1, 2, 3])
+    @pytest.mark.parametrize("d_t", [1, 2, 3, 4, 5, 6])
     def test_retrieve_equals_linear_scan(self, d_t):
         rng = random.Random(7)
         words = sorted({random_word(rng, 2, 8) for _ in range(200)})
@@ -108,6 +109,38 @@ class TestFuzzyLookup:
         for _ in range(50):
             q = random_word(rng, 2, 8)
             assert index.retrieve(q, d_t) == scan(index, q, d_t)
+
+    @pytest.mark.parametrize("d_t", [1, 2, 3, 4])
+    def test_repeated_bigrams_and_pad_characters(self, d_t):
+        # repeats are counted as a multiset; the pads may occur inside words
+        words = ["aaaa", "aaab", "abab", "baba", "aab", "ab\x02", "\x02ab",
+                 "a\x03\x02", "\x03", "\x02\x03ab"]
+        index = build_index(make_docs(words))
+        for q in words + ["", "a", "aa", "aaaaaa", "ababab", "\x02", "\x03\x02"]:
+            assert index.retrieve(q, d_t) == scan(index, q, d_t)
+
+    @pytest.mark.parametrize("d_t", [3, 4])
+    @pytest.mark.parametrize("query", ["", "a", "zq", "xyz"])
+    def test_short_query_finds_words_sharing_no_bigram(self, query, d_t):
+        # max(|q|, |w|) + 1 - 2 * (d_t - 1) <= 0 here, so a match may share
+        # no padded bigram with the query
+        index = build_index(make_docs(["b", "cd", "ayb", "efgh", "ijklmnop"]))
+        found = index.retrieve(query, d_t)
+        assert found and found == scan(index, query, d_t)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(words=st.lists(st.text("ab\x02\x03\xe9", min_size=1, max_size=8),
+                          min_size=1, max_size=12, unique=True),
+           query=st.text("ab\x02\x03\xe9", max_size=8),
+           d_t=st.integers(1, 6))
+    def test_equals_reference_scan_property(self, words, query, d_t):
+        index = build_index([PhraseDoc(i, (w,), 0.0) for i, w in enumerate(words)])
+        assert index.retrieve(query, d_t) == scan(index, query, d_t)
+
+    def test_bigram_table_holds_each_padded_bigram_once(self):
+        index = build_index(make_docs(["aaaa b", "abab", "b cd", "\x02a\x03"]))
+        assert sum(map(len, index._by_bigram.values())) == \
+            sum(len(w) + 1 for w in index.postings)
 
 
 class TestRetrieve:
