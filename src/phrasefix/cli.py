@@ -31,10 +31,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_sentences(path):
+def _open_in(path):
     # an undecodable byte becomes U+FFFD, which ``tokenize`` drops, so one
     # bad line does not abort the run or shift the output
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    return open(path, encoding="utf-8", errors="replace")
+
+
+def _read_sentences(path):
+    with _open_in(path) as fh:
         return [lm_mod.tokenize(line) for line in fh]
 
 
@@ -48,8 +52,8 @@ def _open_out(path):
 def cmd_train_lm(args) -> int:
     if args.order < 1:
         return _usage_error(f"--order must be >= 1, got {args.order}")
-    corpus = _read_sentences(args.corpus)
-    model = lm_mod.train_counts(corpus, args.order)
+    with _open_in(args.corpus) as fh:
+        model = lm_mod.train_counts(map(lm_mod.tokenize, fh), args.order)
     with _open_out(args.out) as fh:
         fh.write(lm_mod.serialize_arpa(model))
     return EXIT_OK

@@ -39,8 +39,5 @@ class SynonymLexicon:
 
 def load_lexicon(text) -> SynonymLexicon:
     """Build a lexicon from a string or iterable of lines; empty lines skipped."""
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = list(text)
+    lines = text.splitlines() if isinstance(text, str) else text
     return SynonymLexicon(words for line in lines if (words := line.split()))

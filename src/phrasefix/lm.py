@@ -92,84 +92,63 @@ def _finite(field: str, what: str, line_no: int) -> float:
 
 
 def parse_arpa(text) -> LanguageModel:
-    """Parse an ARPA stream (string or iterable of lines) into a LanguageModel."""
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
+    """Parse an ARPA stream (a string, or an iterable of lines such as an open
+    file) into a LanguageModel, in one pass that keeps no line.
 
+    ``n`` is None before ``\\data\\`` and 0 among the count declarations.
+    From the first section header on, ``tables`` is not empty, ``n`` is the
+    order of the section being read, and its entries are the lines that do
+    not start with a backslash. Every error names its line; a missing
+    section is reported at ``\\end\\``.
+    """
     declared: dict[int, int] = {}
     tables: dict[int, dict[tuple[str, ...], NgramEntry]] = {}
-    idx = 0
-    n_lines = len(lines)
+    n = None
+    line_no = 0
 
-    while idx < n_lines and lines[idx].strip() != "\\data\\":
-        idx += 1
-    if idx >= n_lines:
-        raise ArpaParseError("missing \\data\\ header", n_lines)
-    idx += 1
+    def end_section(at):
+        if tables and len(table) != declared[n]:
+            raise ArpaParseError(f"declared {declared[n]} {n}-grams but parsed {len(table)}", at)
 
-    while idx < n_lines:
-        line = lines[idx].strip()
-        if not line:
-            idx += 1
-            continue
-        m = re.fullmatch(r"ngram\s+(\d+)\s*=\s*(\d+)", line)
-        if m is None:
-            break
-        declared[int(m.group(1))] = int(m.group(2))
-        idx += 1
-    if not declared:
-        raise ArpaParseError("no ngram count declarations after \\data\\", idx + 1)
-
-    order = max(declared)
-    expected_sections = sorted(declared)
-    section_pos = 0
-    saw_end = False
-
-    while idx < n_lines:
-        line = lines[idx].strip()
-        if not line:
-            idx += 1
-            continue
-        if line == "\\end\\":
-            saw_end = True
-            idx += 1
-            break
-        m = re.fullmatch(r"\\(\d+)-grams:", line)
-        if m is None:
-            raise ArpaParseError(f"unexpected content {line!r}", idx + 1)
-        n = int(m.group(1))
-        if section_pos >= len(expected_sections) or n != expected_sections[section_pos]:
-            raise ArpaParseError(f"{n}-gram section out of sequence", idx + 1)
-        section_pos += 1
-        idx += 1
-        table: dict[tuple[str, ...], NgramEntry] = {}
-        while idx < n_lines:
-            entry_line = lines[idx].strip()
-            if not entry_line:
-                idx += 1
-                continue
-            if entry_line.startswith("\\"):
-                break
-            fields = entry_line.split()
+    for line_no, line in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
+        line = line.strip()
+        if tables and line and line[0] != "\\":
+            fields = line.split()
             if len(fields) not in (n + 1, n + 2):
-                raise ArpaParseError(f"expected {n}-gram entry, got {entry_line!r}", idx + 1)
-            logprob = _finite(fields[0], "logprob", idx + 1)
-            backoff = _finite(fields[-1], "backoff", idx + 1) if len(fields) == n + 2 else 0.0
+                raise ArpaParseError(f"expected {n}-gram entry, got {line!r}", line_no)
+            logprob = _finite(fields[0], "logprob", line_no)
+            backoff = _finite(fields[-1], "backoff", line_no) if len(fields) == n + 2 else 0.0
             table[tuple(fields[1:n + 1])] = NgramEntry(logprob, backoff)
-            idx += 1
-        if len(table) != declared[n]:
-            raise ArpaParseError(
-                f"declared {declared[n]} {n}-grams but parsed {len(table)}", idx)
-        tables[n] = table
-
-    if not saw_end:
-        raise ArpaParseError("missing \\end\\ marker", n_lines)
-    if section_pos != len(expected_sections):
-        missing = expected_sections[section_pos]
-        raise ArpaParseError(f"missing \\{missing}-grams: section", n_lines)
-    return LanguageModel(order, tables)
+        elif n is None or not line:  # before \data\, or a blank line
+            if line == "\\data\\":
+                n = 0
+        elif not tables and (m := re.fullmatch(r"ngram\s+(\d+)\s*=\s*(\d+)", line)):
+            declared[int(m[1])] = int(m[2])
+        elif not declared:
+            raise ArpaParseError("no ngram count declarations after \\data\\", line_no)
+        else:
+            end_section(line_no - 1)
+            if line == "\\end\\":
+                break
+            m = re.fullmatch(r"\\(\d+)-grams:", line)
+            if m is None:
+                raise ArpaParseError(f"unexpected content {line!r}", line_no)
+            n = int(m[1])
+            expected = sorted(declared)
+            if len(tables) == len(expected) or n != expected[len(tables)]:
+                raise ArpaParseError(f"{n}-gram section out of sequence", line_no)
+            table = tables[n] = {}
+    else:
+        if n is None:
+            raise ArpaParseError("missing \\data\\ header", line_no)
+        if not declared:
+            raise ArpaParseError("no ngram count declarations after \\data\\", line_no + 1)
+        end_section(line_no)
+        raise ArpaParseError("missing \\end\\ marker", line_no)
+    if len(tables) != len(declared):
+        missing = sorted(declared)[len(tables)]
+        raise ArpaParseError(f"missing \\{missing}-grams: section", line_no)
+    return LanguageModel(max(declared), tables)
 
 
 def serialize_arpa(lm: LanguageModel) -> str:
@@ -195,21 +174,22 @@ def serialize_arpa(lm: LanguageModel) -> str:
 def train_counts(corpus: Iterable[Iterable[str]], order: int) -> LanguageModel:
     """Train an n-gram model with Witten-Bell discounting.
 
+    ``corpus`` is counted in one pass, so it may be a generator over an open
+    file; one without a word is an "empty corpus".
+
     For each history h, seen words get P(w|h) = c(h,w) / (c(h) + T(h)) where
     T(h) is the number of distinct continuations of h; the held-out mass
     T(h) / (c(h) + T(h)) is redistributed through the backoff weight of h.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    sentences = [tuple(s) for s in corpus if tuple(s)]
-    if not sentences:
-        raise ValueError("empty corpus")
-
     counts: dict[int, Counter] = {n: Counter() for n in range(1, order + 1)}
-    for sent in sentences:
-        for n in range(1, order + 1):
-            for i in range(len(sent) - n + 1):
-                counts[n][sent[i:i + n]] += 1
+    for sent in corpus:
+        sent = tuple(sent)
+        for n, counter in counts.items():
+            counter.update(sent[i:i + n] for i in range(len(sent) - n + 1))
+    if not counts[1]:
+        raise ValueError("empty corpus")
 
     followers: dict[tuple[str, ...], Counter] = defaultdict(Counter)
     for n in range(1, order + 1):

@@ -136,7 +136,15 @@ def save_index(index: PhraseIndex, path):
     them from the docs. They are still written because the format-v1 reader
     of the benchmark (``perfbench/checks.py``) requires the section; dropping
     it is a format change (v2) that waits for that reader to change.
+
+    ``load_index`` splits doc tokens on whitespace, so a postings word (every
+    doc token is one) that is empty or holds whitespace is a ``ValueError``
+    before the file is opened.
     """
+    for word in index.postings:
+        if word.split() != [word]:
+            raise ValueError(f"cannot save the word {word!r}: an index word must be "
+                             "non-empty and hold no whitespace")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_MAGIC}\t{_VERSION}\n")
         fh.write(f"docs\t{len(index.docs)}\n")

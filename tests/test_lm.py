@@ -85,6 +85,26 @@ class TestParseArpa:
         with pytest.raises(ArpaParseError, match="end"):
             parse_arpa(text)
 
+    @pytest.mark.parametrize("text,message,line_no", [
+        ("ngram 1=1\n\n\\1-grams:\n-0.3\ta\n", "missing \\data\\ header", 4),
+        ("\\data\\\n\n\\1-grams:\n-0.3\ta\n\n\\end\\\n",
+         "no ngram count declarations after \\data\\", 3),
+        ("\\data\\\nngram 1=1\n\nstray words\n\\1-grams:\n-0.3\ta\n\\end\\\n",
+         "unexpected content 'stray words'", 4),
+        ("\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.3\ta\n\n\\2-grams:\n"
+         "-0.5\ta\n\n\\end\\\n", "expected 2-gram entry, got '-0.5\\ta'", 9),
+        # reported at the \\end\\ line, not at the stream's last line
+        ("\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.3\ta\n\n\\end\\\n\n",
+         "missing \\2-grams: section", 8),
+        ("\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.3\ta\tbogus\n",
+         "non-numeric backoff 'bogus'", 6),
+    ])
+    def test_error_names_message_and_line(self, text, message, line_no):
+        with pytest.raises(ArpaParseError) as err:
+            parse_arpa(text)
+        assert str(err.value) == f"line {line_no}: {message}"
+        assert err.value.line_no == line_no
+
     def test_accepts_spaces_and_tabs(self):
         tabbed = parse_arpa("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3\ta\n\n\\end\\\n")
         spaced = parse_arpa("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3 a\n\n\\end\\\n")
@@ -196,8 +216,9 @@ class TestTraining:
         assert lm.tables[1][("a",)].logprob == pytest.approx(lm.tables[1][("b",)].logprob)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            train_counts([], 2)
+        for corpus in ([], [()], iter([(), ()])):
+            with pytest.raises(ValueError, match="empty corpus"):
+                train_counts(corpus, 2)
 
     def test_logprobs_nonpositive(self):
         lm = train_counts(synth_corpus(50, seed=3), 3)

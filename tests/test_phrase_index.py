@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,6 +213,14 @@ class TestPersistence:
         loaded = load_index(path)
         assert loaded.postings == index.postings
         assert loaded.retrieve("b", 2) == index.retrieve("b", 2)
+
+    @pytest.mark.parametrize("word", ["a b", "x\ty", "", "a\nb", "\r"])
+    def test_word_the_format_cannot_hold_rejected_before_writing(self, tmp_path, word):
+        path = tmp_path / "phrases.idx"
+        index = build_index([PhraseDoc(0, (word, "c"), -1.0)])
+        with pytest.raises(ValueError, match=re.escape(f"cannot save the word {word!r}")):
+            save_index(index, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_doc_score_rejected(self, tmp_path, score):
