@@ -3,6 +3,7 @@ and the fixed-length recursive baseline."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -50,44 +51,32 @@ def cross_concat(left: Sequence[ScoredPhrase], right: Sequence[ScoredPhrase],
 
 def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
                lexicon: SynonymLexicon, config: SubstituterConfig) -> CorrectionResult:
-    """Chart decoding: per-span candidate lists combined bottom-up.
+    """Chart decoding: stage 1's per-span cells combined bottom-up in place.
 
-    Every span [i, j] first gets its retrieved candidates; spans longer than
-    one word are then augmented, for each split point, with all pairwise
-    concatenations of the two sub-span cells, rescored as whole phrases, and
-    truncated back to k. The top entry of the full-span cell is the output.
+    Spans longer than one word extend their retrieved candidates, for each
+    split point, with all pairwise concatenations of the two sub-span cells,
+    rescored as whole phrases through an LM cache that lives for this call,
+    and are truncated back to k. The top entry of the full-span cell wins.
     """
     tokens = tuple(sentence)
     if not tokens:
         raise ValueError("cannot correct an empty sentence")
     n = len(tokens)
-    sub = find_best_subs(index, lm, lexicon, tokens, config)
-    stats = {"split_evals": 0, "sub_calls": len(sub)}
-
-    score_memo: dict[tuple[str, ...], float] = {}
-
-    def score(seq: tuple[str, ...]) -> float:
-        s = score_memo.get(seq)
-        if s is None:
-            s = lm.score_sequence(seq)
-            score_memo[seq] = s
-        return s
-
-    rep: dict[tuple[int, int], list[ScoredPhrase]] = {}
-    for i in range(n):
-        rep[(i, i)] = sub[(i, i)]
+    cells = find_best_subs(index, lm, lexicon, tokens, config)
+    stats = {"split_evals": 0, "sub_calls": len(cells)}
+    score = functools.cache(lm.score_sequence)
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            pool = list(sub[(i, j)])
+            pool = cells[(i, j)]
             for m in range(i, j):
                 stats["split_evals"] += 1
-                pool.extend(cross_concat(rep[(i, m)], rep[(m + 1, j)], score))
-            rep[(i, j)] = top_k(pool, config.k)
+                pool.extend(cross_concat(cells[(i, m)], cells[(m + 1, j)], score))
+            cells[(i, j)] = top_k(pool, config.k)
 
-    kbest = rep[(0, n - 1)]
+    kbest = cells[(0, n - 1)]
     best = kbest[0]
-    return CorrectionResult(tokens, best.tokens, lm.score_sequence(tokens),
+    return CorrectionResult(tokens, best.tokens, score(tokens),
                             best.score, kbest, stats)
 
 

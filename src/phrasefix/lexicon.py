@@ -7,34 +7,26 @@ from typing import Iterable
 
 
 class SynonymLexicon:
-    """Word sets plus the inverse word -> synset-id membership map.
+    """``mates`` maps each word to every word it shares a synset with.
 
     Identical words always count as sharing a synset, even with an empty
     lexicon, so an unchanged word is never penalized as unmatched.
     """
 
     def __init__(self, synsets: Iterable[Iterable[str]] = ()):
-        self.synsets: list[frozenset[str]] = [frozenset(s) for s in synsets]
-        self.membership: dict[str, frozenset[int]] = {}
-        by_word = defaultdict(set)
-        for i, synset in enumerate(self.synsets):
+        mates = defaultdict(set)
+        for synset in synsets:
+            synset = set(synset)
             for word in synset:
-                by_word[word].add(i)
-        self.membership = {w: frozenset(ids) for w, ids in by_word.items()}
+                mates[word] |= synset - {word}
+        self.mates: dict[str, frozenset[str]] = {w: frozenset(m) for w, m in mates.items()}
 
     def share_synset(self, w1: str, w2: str) -> bool:
-        if w1 == w2:
-            return True
-        ids1 = self.membership.get(w1)
-        ids2 = self.membership.get(w2)
-        return bool(ids1 and ids2 and ids1 & ids2)
+        return w1 == w2 or w2 in self.mates.get(w1, ())
 
     def synonyms(self, word: str) -> set[str]:
         """All words sharing at least one synset with ``word`` (incl. itself)."""
-        out = {word}
-        for i in self.membership.get(word, ()):
-            out |= self.synsets[i]
-        return out
+        return {word, *self.mates.get(word, ())}
 
 
 def load_lexicon(text) -> SynonymLexicon:

@@ -95,7 +95,8 @@ def parse_arpa(text) -> LanguageModel:
     """Parse an ARPA stream (a string, or an iterable of lines such as an open
     file) into a LanguageModel, in one pass that keeps no line.
 
-    ``n`` is None before ``\\data\\`` and 0 among the count declarations.
+    ``n`` is None before ``\\data\\`` and 0 among the count declarations,
+    of which the k-th must declare order k.
     From the first section header on, ``tables`` is not empty, ``n`` is the
     order of the section being read, and its entries are the lines that do
     not start with a backslash. Every error names its line; a missing
@@ -123,6 +124,9 @@ def parse_arpa(text) -> LanguageModel:
             if line == "\\data\\":
                 n = 0
         elif not tables and (m := re.fullmatch(r"ngram\s+(\d+)\s*=\s*(\d+)", line)):
+            if int(m[1]) != len(declared) + 1:
+                raise ArpaParseError(f"ngram {m[1]} count out of sequence, "
+                                     f"expected ngram {len(declared) + 1}", line_no)
             declared[int(m[1])] = int(m[2])
         elif not declared:
             raise ArpaParseError("no ngram count declarations after \\data\\", line_no)
@@ -134,8 +138,7 @@ def parse_arpa(text) -> LanguageModel:
             if m is None:
                 raise ArpaParseError(f"unexpected content {line!r}", line_no)
             n = int(m[1])
-            expected = sorted(declared)
-            if len(tables) == len(expected) or n != expected[len(tables)]:
+            if n != len(tables) + 1 or n > len(declared):
                 raise ArpaParseError(f"{n}-gram section out of sequence", line_no)
             table = tables[n] = {}
     else:
@@ -146,9 +149,8 @@ def parse_arpa(text) -> LanguageModel:
         end_section(line_no)
         raise ArpaParseError("missing \\end\\ marker", line_no)
     if len(tables) != len(declared):
-        missing = sorted(declared)[len(tables)]
-        raise ArpaParseError(f"missing \\{missing}-grams: section", line_no)
-    return LanguageModel(max(declared), tables)
+        raise ArpaParseError(f"missing \\{len(tables) + 1}-grams: section", line_no)
+    return LanguageModel(len(declared), tables)
 
 
 def serialize_arpa(lm: LanguageModel) -> str:

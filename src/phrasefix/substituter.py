@@ -85,7 +85,7 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel, lexicon: SynonymLexico
 
 def _rank(query, states, phrases, lm, config):
     """Stage 1 cut to t_pool by distance score, ties by tokens then docid,
-    the identity seeded, then stage 2's k best by LM score."""
+    the identity appended last, then stage 2's k best by LM score."""
     scored = []
     for d, state in states.items():
         s = state.value()
@@ -93,14 +93,15 @@ def _rank(query, states, phrases, lm, config):
             scored.append((-s, phrases[d].tokens, d))
     scored.sort()
     pool = [phrases[d] for _, _, d in scored[:config.t_pool]]
-    if query not in {c.tokens for c in pool}:
-        pool.append(ScoredPhrase(query, lm.score_sequence(query)))
+    pool.append(ScoredPhrase(query, lm.score_sequence(query)))
     return top_k(pool, config.k)
 
 
 def top_k(candidates: Iterable[ScoredPhrase], k: int) -> list[ScoredPhrase]:
     """The k best candidates by descending score, ties broken by tokens.
-    Of candidates with the same tokens only the first one counts."""
+    Of candidates with the same tokens only the first one counts; callers
+    rely on this order (``_rank`` appends the identity after the pool, so a
+    doc with the query's tokens keeps its stored score)."""
     unique: dict[tuple[str, ...], ScoredPhrase] = {}
     for cand in candidates:
         unique.setdefault(cand.tokens, cand)

@@ -279,6 +279,20 @@ class TestCorrect:
             idx.write_text("".join(lines))
         assert self.correct(tmp, arpa, idx, [" ".join(sentences[0][:4])]) == (2, [])
 
+    @pytest.mark.parametrize("count_line", ["ngram 0=1", "ngram 1=1", "ngram 3=1"])
+    def test_count_line_out_of_sequence_is_data_error(self, workspace, capsys, count_line):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        lines = arpa.read_text().splitlines(keepends=True)
+        lines.insert(2, count_line + "\n")
+        arpa.write_text("".join(lines))
+        capsys.readouterr()
+        assert self.correct(tmp, arpa, idx, [" ".join(sentences[0][:4])]) == (2, [])
+        assert main(["build-index", "--lm", str(arpa), "--out", str(tmp / "q.idx")]) == 2
+        message = f"line 3: {count_line.split('=')[0]} count out of sequence"
+        assert capsys.readouterr().err.count(message) == 2
+        assert not (tmp / "q.idx").exists()
+
     def test_unknown_algorithm_is_usage_error(self, workspace):
         tmp, corpus, _ = workspace
         assert main(["correct", "--in", str(corpus), "--lm", "x", "--index", "y",

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -131,6 +133,26 @@ class TestCorrectDp:
         fresh = build_index(index.docs)
         fresh.retrieve("zzzzzz", 1)
         assert fresh._by_bigram == index._by_bigram
+
+    def test_model_and_index_die_with_their_last_reference(self):
+        # correct_dp's LM cache lives for one call and no cycle holds the
+        # model or the index, so reference counting alone frees both
+        def run():
+            lm, _, index = make_setup([("aa", "bb", "cc", "dd")] * 3)
+            for sentence in [("bb", "aa", "cc"), ("aa", "bb", "cd", "dd"), ("dd",)]:
+                correct_dp(sentence, index, lm, SynonymLexicon(),
+                           SubstituterConfig(k=3, t_pool=10))
+            return weakref.ref(lm), weakref.ref(index)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            lm_ref, index_ref = run()
+            assert lm_ref() is None
+            assert index_ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_split_evaluation_count(self, n):

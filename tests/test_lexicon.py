@@ -8,19 +8,26 @@ def lex():
     return load_lexicon("car auto\nwonder surprise\n")
 
 
-def test_load_builds_synsets_and_membership(lex):
-    assert len(lex.synsets) == 2
-    assert lex.membership["auto"] == frozenset({0})
+def test_load_builds_mates(lex):
+    assert lex.mates == {"car": {"auto"}, "auto": {"car"},
+                         "wonder": {"surprise"}, "surprise": {"wonder"}}
+    assert lex.share_synset("auto", "car")
+    assert lex.synonyms("auto") == {"auto", "car"}
 
 
 def test_polysemy_across_lines():
     lex = load_lexicon("bank shore\nbank lender\n")
-    assert lex.membership["bank"] == frozenset({0, 1})
+    assert lex.mates["bank"] == {"shore", "lender"}
+    assert lex.share_synset("bank", "shore") and lex.share_synset("bank", "lender")
+    assert not lex.share_synset("shore", "lender")
+    assert lex.synonyms("bank") == {"bank", "shore", "lender"}
+    assert lex.synonyms("shore") == {"shore", "bank"}
 
 
 def test_empty_file():
     lex = load_lexicon("\n\n")
-    assert lex.synsets == []
+    assert lex.mates == {}
+    assert lex.synonyms("car") == {"car"}
     assert not lex.share_synset("car", "auto")
 
 
@@ -41,10 +48,12 @@ def test_symmetry_and_reflexivity(lex):
             assert lex.share_synset(w1, w2) == lex.share_synset(w2, w1)
 
 
-def test_membership_is_exact_inverse(lex):
-    for word, ids in lex.membership.items():
-        for i, synset in enumerate(lex.synsets):
-            assert (word in synset) == (i in ids)
+def test_mates_are_symmetric():
+    lex = load_lexicon("car auto\nbank shore\nbank lender\nwonder surprise marvel\n")
+    for word, mates in lex.mates.items():
+        assert word not in mates
+        for mate in mates:
+            assert word in lex.mates[mate]
 
 
 def test_synonyms_include_self(lex):

@@ -98,6 +98,16 @@ class TestParseArpa:
          "missing \\2-grams: section", 8),
         ("\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.3\ta\tbogus\n",
          "non-numeric backoff 'bogus'", 6),
+        # the k-th count line must declare order k: order 0 beside order 1,
+        # order 0 alone, a repeated order and a gap
+        ("\\data\\\nngram 0=1\nngram 1=1\n\n\\0-grams:\n-0.5\n\n\\1-grams:\n"
+         "-0.3 a\n\n\\end\\\n", "ngram 0 count out of sequence, expected ngram 1", 2),
+        ("\\data\\\nngram 0=1\n\n\\0-grams:\n-0.5\n\n\\end\\\n",
+         "ngram 0 count out of sequence, expected ngram 1", 2),
+        ("\\data\\\nngram 1=1\nngram 1=2\n\n\\1-grams:\n-0.3 a\n\n\\end\\\n",
+         "ngram 1 count out of sequence, expected ngram 2", 3),
+        ("\\data\\\nngram 1=1\nngram 3=1\n\n\\1-grams:\n-0.3 a\n\n\\3-grams:\n"
+         "-0.2 a a a\n\n\\end\\\n", "ngram 3 count out of sequence, expected ngram 2", 3),
     ])
     def test_error_names_message_and_line(self, text, message, line_no):
         with pytest.raises(ArpaParseError) as err:

@@ -4,7 +4,8 @@ import pytest
 
 from phrasefix import (REJECT, ScoredPhrase, SubstituterConfig,
                        SynonymLexicon, build_index, combined_score, find_best_subs,
-                       find_k_best_common, levenshtein, load_lexicon, train_counts)
+                       find_k_best_common, levenshtein, load_lexicon, parse_arpa,
+                       train_counts)
 from phrasefix.phrase_index import PhraseDoc
 
 from conftest import random_word, retrieve_any
@@ -178,6 +179,17 @@ class TestFindBestSubs:
             assert cell == oracle_best_sub(docs + [copy], lm, SynonymLexicon(),
                                            phrase[i:j + 1], cfg)
         assert ScoredPhrase(docs[0].tokens, docs[0].lm_score) in cells[(0, 2)]
+
+    def test_identity_keeps_a_retrieved_docs_stored_score(self):
+        # the identity is appended after the pool and top_k keeps the first
+        # of equal token tuples, so the doc's stored 0.0 beats the LM's -1.301
+        lm = parse_arpa("\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-0.301 a 0.0\n"
+                        "-0.301 b 0.0\n\n\\2-grams:\n-1.0 a b\n\n\\end\\\n")
+        assert lm.score_sequence(("a", "b")) == pytest.approx(-1.301)
+        index = build_index([PhraseDoc(0, ("a", "b"), 0.0)])
+        cfg = SubstituterConfig(k=5, t_pool=10)
+        cell = find_best_subs(index, lm, SynonymLexicon(), ("a", "b"), cfg)[(0, 1)]
+        assert [c for c in cell if c.tokens == ("a", "b")] == [ScoredPhrase(("a", "b"), 0.0)]
 
     def test_empty_sentence_rejected(self, toy_setup):
         lm, docs, index = toy_setup
