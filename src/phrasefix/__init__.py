@@ -1,7 +1,7 @@
 """Monolingual noisy-sentence correction with an n-gram language model."""
 
 from .corrector import CorrectionResult, correct_dp, correct_fixed
-from .distance import REJECT, combined_score, levenshtein
+from .distance import REJECT, levenshtein
 from .evaluation import NoiseSpec, bleu, corpus_perplexity, inject_noise, modified_precision
 from .lexicon import SynonymLexicon, load_lexicon
 from .lm import LanguageModel, parse_arpa, serialize_arpa, tokenize, train_counts
@@ -10,7 +10,7 @@ from .substituter import ScoredPhrase, SubstituterConfig, find_best_subs, find_k
 
 __all__ = [
     "CorrectionResult", "correct_dp", "correct_fixed",
-    "REJECT", "combined_score", "levenshtein",
+    "REJECT", "levenshtein",
     "NoiseSpec", "bleu", "corpus_perplexity", "inject_noise", "modified_precision",
     "SynonymLexicon", "load_lexicon",
     "LanguageModel", "parse_arpa", "serialize_arpa", "tokenize", "train_counts",

@@ -42,6 +42,16 @@ def _read_sentences(path):
         return [lm_mod.tokenize(line) for line in fh]
 
 
+def _load(read, path):
+    """``read`` applied to ``path`` opened as strict UTF-8. A ``ValueError``
+    (an ``ArpaParseError``, an undecodable byte) is re-raised naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return read(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _open_out(path):
     if path is None or path == "-":
         # leave stdout open for the caller
@@ -64,8 +74,7 @@ def cmd_build_index(args) -> int:
         orders = [int(x) for x in args.orders.split(",")] if args.orders else None
     except ValueError:
         return _usage_error(f"--orders must be comma-separated integers, got {args.orders!r}")
-    with open(args.lm, encoding="utf-8") as fh:
-        model = lm_mod.parse_arpa(fh)
+    model = _load(lm_mod.parse_arpa, args.lm)
     if orders is None:
         orders = list(range(2, model.order + 1)) or [1]
     try:
@@ -87,10 +96,7 @@ def cmd_inject_noise(args) -> int:
     sentences = _read_sentences(args.input)
     vocab = tuple(sorted({w for s in sentences for w in s}))
     spec = dataclasses.replace(spec, vocabulary=vocab)
-    lexicon = None
-    if args.lexicon:
-        with open(args.lexicon, encoding="utf-8") as fh:
-            lexicon = load_lexicon(fh)
+    lexicon = _load(load_lexicon, args.lexicon) if args.lexicon else None
     with _open_out(args.out) as fh:
         for sent in sentences:
             fh.write(" ".join(evaluation.inject_noise(sent, spec, lexicon)) + "\n")
@@ -108,17 +114,12 @@ def cmd_correct(args) -> int:
                                    d_t=args.d_t)
     except ValueError as exc:
         return _usage_error(exc)
-    with open(args.lm, encoding="utf-8") as fh:
-        model = lm_mod.parse_arpa(fh)
+    model = _load(lm_mod.parse_arpa, args.lm)
     if args.algorithm == "fixed" and args.phrase_len < model.order:
         return _usage_error(f"--phrase-len {args.phrase_len} is below the model "
                             f"order {model.order}")
     sentences = _read_sentences(args.input)
-    if args.lexicon:
-        with open(args.lexicon, encoding="utf-8") as fh:
-            lexicon = load_lexicon(fh)
-    else:
-        lexicon = SynonymLexicon()
+    lexicon = _load(load_lexicon, args.lexicon) if args.lexicon else SynonymLexicon()
 
     index = phrase_index.load_index(args.index)
     if args.algorithm == "dp":
@@ -143,8 +144,7 @@ def cmd_correct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.lm, encoding="utf-8") as fh:
-        model = lm_mod.parse_arpa(fh)
+    model = _load(lm_mod.parse_arpa, args.lm)
     before = _read_sentences(args.before)
     after = _read_sentences(args.after)
     refs = _read_sentences(args.refs)

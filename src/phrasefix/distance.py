@@ -7,10 +7,10 @@ violations under rigid mode yield the REJECT sentinel instead of a score.
 Word order is judged on a greedy left-to-right one-to-one alignment of P's
 words onto R's, each pair at Levenshtein distance below ``ALIGN_THRESHOLD``.
 
-``combined_score`` runs the kernel over a single (P, R) pair; the stage-1
-sweep of ``substituter.find_best_subs`` runs it over every span of a
-sentence. ``tests/distance_oracle.py`` computes the edit distance and each
-component independently of the kernels as their references.
+The stage-1 sweep of ``substituter.find_best_subs`` runs the kernel over
+every span of a sentence. ``tests/distance_oracle.py`` computes the edit
+distance and each component independently of the kernels as their
+references, and ``reference_score`` there their mean.
 """
 
 from __future__ import annotations
@@ -99,8 +99,10 @@ def word_term(table: dict[str, tuple[int, float, bool]],
 
 class PhraseScore:
     """The combined score of one phrase R against a phrase P that grows by
-    one word on the right per ``add``; ``value()`` equals
-    ``combined_score(P, R, lexicon, mode)`` float for float.
+    one word on the right per ``add``. ``value()`` is the equally weighted
+    mean of the components ``mode`` enables, or REJECT: mode A is f1 + f2;
+    B is f1 + f2 gated by rigid word order; C adds the LCS word-order
+    component; D the inversion-pair one.
 
     f1 and f2 are running sums over P's words, taken in P's order. Greedy
     alignment goes left to right, so the alignment for P plus one word
@@ -166,20 +168,3 @@ class PhraseScore:
             return REJECT
         w = 1.0 / 2
         return sum((w * f1, w * f2))
-
-
-def combined_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
-                   lexicon: SynonymLexicon, mode: str):
-    """Equally weighted mean of the components ``mode`` enables, or REJECT.
-
-    mode A: f1 + f2; B: f1 + f2 gated by rigid word order; C adds the LCS
-    word-order component; D the inversion-pair one.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not p_tokens or not r_tokens:
-        raise ValueError("phrases must be non-empty")
-    state = PhraseScore(mode)
-    for p in p_tokens:
-        state.add(word_term(word_table(p, r_tokens, lexicon), r_tokens))
-    return state.value()

@@ -159,41 +159,45 @@ def save_index(index: PhraseIndex, path):
 def load_index(path) -> PhraseIndex:
     """Read the docs section of an index file and index them with
     ``build_index``; the stored postings are not read. Two docs with the
-    same tokens are an error, and every error names the file and the line."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[:1] != [_MAGIC] or len(header) != 2 or header[1] != _VERSION:
-            raise ValueError(f"{path}: not a phrasefix index file")
-        line = fh.readline()
-        kind, _, count = line.rstrip("\n").partition("\t")
-        if kind != "docs" or not count.isdecimal():
-            raise ValueError(f"{path}: line 2: expected 'docs<TAB>count' with a "
-                             f"count >= 0, got {line!r}")
-        docs = []
-        for line_no in range(3, 3 + int(count)):
+    same tokens are an error, and every error names the file and, where the
+    file decodes, the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split("\t")
+            if header[:1] != [_MAGIC] or len(header) != 2 or header[1] != _VERSION:
+                raise ValueError("not a phrasefix index file")
             line = fh.readline()
-            try:
-                docid, score, tokens = line.rstrip("\n").split("\t")
-                doc = PhraseDoc(int(docid), tuple(tokens.split()), float(score))
-                if doc.docid != len(docs) or not doc.tokens:
-                    raise ValueError
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: expected doc {len(docs)} of "
-                                 f"{count} as 'docid<TAB>score<TAB>tokens', "
-                                 f"got {line!r}") from None
-            if not math.isfinite(doc.lm_score):
-                raise ValueError(f"{path}: line {line_no}: doc {docid} has non-finite "
-                                 f"score {score!r}")
-            docs.append(doc)
-        line = fh.readline()
-        if not line.startswith("postings\t"):
-            raise ValueError(f"{path}: line {3 + len(docs)}: expected the postings "
-                             f"header after {count} docs, got {line!r}")
-    _reject_duplicate_tokens(docs, path)
+            kind, _, count = line.rstrip("\n").partition("\t")
+            if kind != "docs" or not count.isdecimal():
+                raise ValueError(f"line 2: expected 'docs<TAB>count' with a count >= 0, "
+                                 f"got {line!r}")
+            docs = []
+            for line_no in range(3, 3 + int(count)):
+                line = fh.readline()
+                try:
+                    docid, score, tokens = line.rstrip("\n").split("\t")
+                    doc = PhraseDoc(int(docid), tuple(tokens.split()), float(score))
+                    if doc.docid != len(docs) or not doc.tokens:
+                        raise ValueError
+                except ValueError:
+                    raise ValueError(f"line {line_no}: expected doc {len(docs)} of "
+                                     f"{count} as 'docid<TAB>score<TAB>tokens', "
+                                     f"got {line!r}") from None
+                if not math.isfinite(doc.lm_score):
+                    raise ValueError(f"line {line_no}: doc {docid} has non-finite "
+                                     f"score {score!r}")
+                docs.append(doc)
+            line = fh.readline()
+            if not line.startswith("postings\t"):
+                raise ValueError(f"line {3 + len(docs)}: expected the postings header "
+                                 f"after {count} docs, got {line!r}")
+        _reject_duplicate_tokens(docs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return build_index(docs)
 
 
-def _reject_duplicate_tokens(docs: Sequence[PhraseDoc], path):
+def _reject_duplicate_tokens(docs: Sequence[PhraseDoc]):
     """Raise on two docs with the same tokens. ``extract_phrases`` yields
     each stored n-gram once, so a file holding one phrase twice, perhaps
     with two scores, was not written by ``build-index``.
@@ -204,6 +208,6 @@ def _reject_duplicate_tokens(docs: Sequence[PhraseDoc], path):
     """
     for a, b in pairwise(sorted(docs, key=attrgetter("tokens"))):
         if a.tokens == b.tokens:
-            raise ValueError(f"{path}: lines {a.docid + 3} and {b.docid + 3}: docs "
+            raise ValueError(f"lines {a.docid + 3} and {b.docid + 3}: docs "
                              f"{a.docid} and {b.docid} have the same tokens "
                              f"{' '.join(a.tokens)!r}")

@@ -22,7 +22,8 @@ class ScoredPhrase:
 @dataclass
 class SubstituterConfig:
     """Keep the k best by LM score of the t_pool best by distance score under
-    ``mode`` (see ``combined_score``); query words match at edit distance < d_t."""
+    ``mode`` (see ``distance.PhraseScore``); query words match at edit
+    distance < d_t."""
 
     k: int = 5
     t_pool: int = 200

@@ -1,12 +1,13 @@
 """Independent references for the similarity kernel of ``phrasefix.distance``:
 the textbook edit-distance DP, greedy alignment and each component computed
-straight from its definition, with no shared state, so that tests can
-compare ``levenshtein``, ``PhraseScore`` and ``combined_score`` against
-them."""
+straight from its definition, with no shared state, and ``reference_score``,
+their equally weighted mean, so that tests can compare ``levenshtein`` and
+``PhraseScore`` against them."""
 
 from typing import Sequence
 
 from phrasefix import REJECT, SynonymLexicon
+from phrasefix.distance import ALIGN_THRESHOLD
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -106,3 +107,18 @@ def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str], mode: str,
     if mode == "inversion":
         return 1.0 / (1.0 + count_inversions(seq))
     raise ValueError(f"unknown word-order mode {mode!r}")
+
+
+def reference_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
+                    lexicon: SynonymLexicon, mode: str):
+    """Equally weighted mean of the components ``mode`` enables, or REJECT:
+    mode A is f1 + f2; B is f1 + f2 gated by rigid word order; C adds the
+    LCS word-order component; D the inversion-pair one."""
+    order = {"B": "rigid", "C": "lcs", "D": "inversion"}.get(mode)
+    parts = [f1_similarity(p_tokens, r_tokens), f2_synset(p_tokens, r_tokens, lexicon)]
+    f3 = f3_word_order(p_tokens, r_tokens, order, ALIGN_THRESHOLD) if order else None
+    if f3 is REJECT:
+        return REJECT
+    if mode in ("C", "D"):
+        parts.append(f3)
+    return sum((1.0 / len(parts)) * v for v in parts)

@@ -104,6 +104,22 @@ class TestInjectNoise:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_lexicon_substitutes_a_synset_mate(self, tmp_path):
+        inp, lexicon, out = tmp_path / "in.txt", tmp_path / "lex.txt", tmp_path / "out.txt"
+        lines = ["alpha beta", "beta alpha", "alpha beta beta", "beta"]
+        inp.write_text("".join(line + "\n" for line in lines))
+        lexicon.write_text("alpha omega\nbeta theta\n")
+        assert main(["inject-noise", "--in", str(inp), "--seed", "5", "--substitutions",
+                     "1", "--lexicon", str(lexicon), "--out", str(out)]) == 0
+        mate = {"alpha": "omega", "beta": "theta"}
+        noisy = out.read_text().splitlines()
+        assert len(noisy) == len(lines)
+        for before, after in zip(lines, noisy):
+            # without the lexicon the other input word would replace it
+            changed = [(b, a) for b, a in zip(before.split(), after.split(), strict=True)
+                       if b != a]
+            assert len(changed) == 1 and changed[0][1] == mate[changed[0][0]]
+
     def test_zero_ops_round_trips_corpus(self, workspace):
         tmp, corpus, sentences = workspace
         out = tmp / "same.txt"
@@ -286,12 +302,53 @@ class TestCorrect:
         lines = arpa.read_text().splitlines(keepends=True)
         lines.insert(2, count_line + "\n")
         arpa.write_text("".join(lines))
+        out = tmp / "out"
+        message = f"phrasefix: {arpa}: line 3: {count_line.split('=')[0]} count out of sequence"
+        for argv in (["correct", "--in", str(corpus), "--index", str(idx)],
+                     ["build-index"],
+                     ["evaluate", "--before", str(corpus), "--after", str(corpus),
+                      "--refs", str(corpus)]):
+            capsys.readouterr()
+            assert main(argv + ["--lm", str(arpa), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(message)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command,damaged", [
+        ("correct", "--lexicon"), ("inject-noise", "--lexicon"),
+        ("correct", "--lm"), ("correct", "--index")])
+    def test_undecodable_byte_in_a_loaded_file_names_it(self, workspace, capsys,
+                                                        command, damaged):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        lexicon = tmp / "lexicon.txt"
+        lexicon.write_text(f"{sentences[0][0]} {sentences[1][0]}\n")
+        files = {"--lm": arpa, "--index": idx, "--lexicon": lexicon}
+        data = files[damaged].read_bytes()
+        mid = data.index(b"\n", len(data) // 2) + 1
+        files[damaged].write_bytes(data[:mid] + b"\xff" + data[mid:])
+        out = tmp / "out"
+        argv = {"correct": ["--lm", str(arpa), "--index", str(idx), "--lexicon", str(lexicon)],
+                "inject-noise": ["--substitutions", "1", "--lexicon", str(lexicon)]}[command]
         capsys.readouterr()
-        assert self.correct(tmp, arpa, idx, [" ".join(sentences[0][:4])]) == (2, [])
-        assert main(["build-index", "--lm", str(arpa), "--out", str(tmp / "q.idx")]) == 2
-        message = f"line 3: {count_line.split('=')[0]} count out of sequence"
-        assert capsys.readouterr().err.count(message) == 2
-        assert not (tmp / "q.idx").exists()
+        assert main([command, "--in", str(corpus), *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"phrasefix: {files[damaged]}: ")
+        assert "can't decode byte 0xff" in err
+        assert not out.exists()
+
+    def test_out_dash_writes_line_aligned_records_to_stdout(self, workspace, capsys):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        lines = [" ".join(sentences[0][:4]), "", " ".join(sentences[1][:4])]
+        code, records = self.correct(tmp, arpa, idx, lines)
+        assert code == 0
+        capsys.readouterr()
+        assert main(["correct", "--in", str(tmp / "in.txt"), "--lm", str(arpa),
+                     "--index", str(idx), "--k", "3", "--t-pool", "50", "--d-t", "2",
+                     "--out", "-"]) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["original"] for r in printed] == lines
+        assert printed == records
 
     def test_unknown_algorithm_is_usage_error(self, workspace):
         tmp, corpus, _ = workspace

@@ -89,6 +89,8 @@ class TestParseArpa:
         ("ngram 1=1\n\n\\1-grams:\n-0.3\ta\n", "missing \\data\\ header", 4),
         ("\\data\\\n\n\\1-grams:\n-0.3\ta\n\n\\end\\\n",
          "no ngram count declarations after \\data\\", 3),
+        # the stream ends right after \\data\\
+        ("\\data\\\n", "no ngram count declarations after \\data\\", 2),
         ("\\data\\\nngram 1=1\n\nstray words\n\\1-grams:\n-0.3\ta\n\\end\\\n",
          "unexpected content 'stray words'", 4),
         ("\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.3\ta\n\n\\2-grams:\n"
@@ -229,6 +231,12 @@ class TestTraining:
         for corpus in ([], [()], iter([(), ()])):
             with pytest.raises(ValueError, match="empty corpus"):
                 train_counts(corpus, 2)
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            train_counts([("a", "b")], 0)
+        with pytest.raises(ValueError, match="model order must be >= 1"):
+            LanguageModel(0, {})
 
     def test_logprobs_nonpositive(self):
         lm = train_counts(synth_corpus(50, seed=3), 3)

@@ -69,6 +69,10 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index(docs)
 
+    def test_doc_without_tokens_rejected(self):
+        with pytest.raises(ValueError, match="doc 1 has no tokens"):
+            build_index([PhraseDoc(0, ("a",), 0.0), PhraseDoc(1, (), 0.0)])
+
     def test_postings_reconstruct_membership(self):
         rng = random.Random(42)
         vocab = [random_word(rng) for _ in range(20)]
@@ -244,3 +248,13 @@ class TestPersistence:
         path.write_text("not an index\n")
         with pytest.raises(ValueError):
             load_index(path)
+
+    def test_missing_postings_header_names_file_and_line(self, tmp_path):
+        path = tmp_path / "phrases.idx"
+        save_index(build_index(make_docs(["a b", "b c"])), path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:4]))  # header, count line, both docs
+        with pytest.raises(ValueError) as err:
+            load_index(path)
+        assert str(err.value) == (f"{path}: line 5: expected the postings header "
+                                  "after 2 docs, got ''")

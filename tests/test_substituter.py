@@ -3,12 +3,13 @@ import random
 import pytest
 
 from phrasefix import (REJECT, ScoredPhrase, SubstituterConfig,
-                       SynonymLexicon, build_index, combined_score, find_best_subs,
+                       SynonymLexicon, build_index, find_best_subs,
                        find_k_best_common, levenshtein, load_lexicon, parse_arpa,
                        train_counts)
 from phrasefix.phrase_index import PhraseDoc
 
 from conftest import random_word, retrieve_any
+from distance_oracle import reference_score
 
 
 def whole_span(index, lm, lex, phrase, cfg):
@@ -17,15 +18,16 @@ def whole_span(index, lm, lex, phrase, cfg):
 
 
 def oracle_best_sub(docs, lm, lex, phrase, cfg):
-    """Full-scan two-stage reference: brute-force retrieval, then the same
-    distance ranking, LM ranking and identity seeding as the contract."""
+    """Full-scan two-stage reference: brute-force retrieval, ranking by the
+    component references' mean, then LM ranking and identity seeding as the
+    contract."""
     phrase = tuple(phrase)
     pool = []
     for doc in docs:
         if not any(levenshtein(q, w) < cfg.d_t
                    for q in phrase for w in doc.tokens):
             continue
-        s = combined_score(phrase, doc.tokens, lex, cfg.mode)
+        s = reference_score(phrase, doc.tokens, lex, cfg.mode)
         if s is REJECT:
             continue
         pool.append((s, doc))
