@@ -3,7 +3,7 @@ and stage 1, and ``PhraseScore``, the one kernel for the equally weighted
 mean of the orthographic (f1), synset (f2) and word-order (f3) components.
 
 All components are similarities in [0, 1], higher is better. Word-order
-violations under rigid mode yield the REJECT sentinel instead of a score.
+violations under rigid mode yield None instead of a score.
 Word order is judged on a greedy left-to-right one-to-one alignment of P's
 words onto R's, each pair at Levenshtein distance below ``ALIGN_THRESHOLD``.
 
@@ -20,15 +20,6 @@ from typing import Collection, Sequence
 
 from .lexicon import SynonymLexicon
 
-
-class _RejectType:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "REJECT"
-
-
-REJECT = _RejectType()
 
 MODES = ("A", "B", "C", "D")
 # two aligned words must be at Levenshtein distance below this
@@ -100,7 +91,7 @@ def word_term(table: dict[str, tuple[int, float, bool]],
 class PhraseScore:
     """The combined score of one phrase R against a phrase P that grows by
     one word on the right per ``add``. ``value()`` is the equally weighted
-    mean of the components ``mode`` enables, or REJECT: mode A is f1 + f2;
+    mean of the components ``mode`` enables, or None: mode A is f1 + f2;
     B is f1 + f2 gated by rigid word order; C adds the LCS word-order
     component; D the inversion-pair one.
 
@@ -125,7 +116,7 @@ class PhraseScore:
         self.aligned = 0
         self.tails: list[int] = []
         self.inversions = 0
-        self.order = REJECT if mode == "B" else 0.0
+        self.order = None if mode == "B" else 0.0
 
     def add(self, term: tuple[float, bool, tuple[int, ...]]):
         """Extend P by the word whose ``word_term`` against R is ``term``."""
@@ -144,8 +135,8 @@ class PhraseScore:
         self.used |= 1 << pos
         self.aligned += 1
         if self.mode == "B":
-            rigid = not later and (self.aligned == 1 or self.order is not REJECT)
-            self.order = 1.0 if rigid else REJECT
+            rigid = not later and (self.aligned == 1 or self.order is not None)
+            self.order = 1.0 if rigid else None
         elif self.mode == "C":
             tails = self.tails
             at = bisect_left(tails, pos)
@@ -155,16 +146,17 @@ class PhraseScore:
             self.inversions += later
             self.order = 1.0 / (1.0 + self.inversions)
 
-    def value(self):
-        """Equally weighted mean of the components, or REJECT."""
+    def value(self) -> float | None:
+        """Equally weighted mean of the components, or None."""
         # sum() as in the reference mean: from Python 3.12 it rounds
-        # differently from chained +, and stage-1 ties sort on the last bit
-        f1 = min(1.0, max(0.0, 1.0 - self.total / self.n))
+        # differently from chained +, and stage-1 ties sort on the last bit;
+        # f1 is in [0, 1] because each word's term d / max(|p|, |r|) is
+        f1 = 1.0 - self.total / self.n
         f2 = self.matched / self.n
         if self.mode == "C" or self.mode == "D":
             w = 1.0 / 3
             return sum((w * f1, w * f2, w * self.order))
-        if self.order is REJECT:
-            return REJECT
+        if self.order is None:
+            return None
         w = 1.0 / 2
         return sum((w * f1, w * f2))

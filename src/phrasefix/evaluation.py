@@ -149,7 +149,7 @@ def inject_noise(sentence: Sequence[str], spec: NoiseSpec,
         if not words:
             break
         i = rng.randrange(len(words))
-        mates = sorted(lexicon.synonyms(words[i]) - {words[i]}) if lexicon else []
+        mates = sorted(lexicon.mates.get(words[i], ())) if lexicon else []
         if mates:
             words[i] = rng.choice(mates)
         else:

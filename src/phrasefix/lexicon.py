@@ -1,9 +1,12 @@
-"""Synonym lexicon: one synset per line, space-separated lowercase words."""
+"""Synonym lexicon: one synset per line, whose words ``lm.tokenize`` reads
+as it reads all input text, so ``Approved, Supported`` holds ``approved``."""
 
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import Iterable
+
+from .lm import tokenize
 
 
 class SynonymLexicon:
@@ -24,12 +27,9 @@ class SynonymLexicon:
     def share_synset(self, w1: str, w2: str) -> bool:
         return w1 == w2 or w2 in self.mates.get(w1, ())
 
-    def synonyms(self, word: str) -> set[str]:
-        """All words sharing at least one synset with ``word`` (incl. itself)."""
-        return {word, *self.mates.get(word, ())}
-
 
 def load_lexicon(text) -> SynonymLexicon:
-    """Build a lexicon from a string or iterable of lines; empty lines skipped."""
+    """Build a lexicon from a string or iterable of lines, each tokenized;
+    lines without a word are skipped."""
     lines = text.splitlines() if isinstance(text, str) else text
-    return SynonymLexicon(words for line in lines if (words := line.split()))
+    return SynonymLexicon(words for line in lines if (words := tokenize(line)))

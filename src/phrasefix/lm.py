@@ -99,8 +99,8 @@ def parse_arpa(text) -> LanguageModel:
     of which the k-th must declare order k.
     From the first section header on, ``tables`` is not empty, ``n`` is the
     order of the section being read, and its entries are the lines that do
-    not start with a backslash. Every error names its line; a missing
-    section is reported at ``\\end\\``.
+    not start with a backslash. Every error names its line: a repeated
+    entry its second line, a missing section the ``\\end\\`` line.
     """
     declared: dict[int, int] = {}
     tables: dict[int, dict[tuple[str, ...], NgramEntry]] = {}
@@ -119,7 +119,9 @@ def parse_arpa(text) -> LanguageModel:
                 raise ArpaParseError(f"expected {n}-gram entry, got {line!r}", line_no)
             logprob = _finite(fields[0], "logprob", line_no)
             backoff = _finite(fields[-1], "backoff", line_no) if len(fields) == n + 2 else 0.0
-            table[tuple(fields[1:n + 1])] = NgramEntry(logprob, backoff)
+            gram, entry = tuple(fields[1:n + 1]), NgramEntry(logprob, backoff)
+            if table.setdefault(gram, entry) is not entry:
+                raise ArpaParseError(f"repeated {n}-gram {' '.join(gram)!r}", line_no)
         elif n is None or not line:  # before \data\, or a blank line
             if line == "\\data\\":
                 n = 0

@@ -137,14 +137,19 @@ def save_index(index: PhraseIndex, path):
     of the benchmark (``perfbench/checks.py``) requires the section; dropping
     it is a format change (v2) that waits for that reader to change.
 
-    ``load_index`` splits doc tokens on whitespace, so a postings word (every
-    doc token is one) that is empty or holds whitespace is a ``ValueError``
-    before the file is opened.
+    ``load_index`` splits doc tokens on whitespace and needs finite scores,
+    so a postings word that is empty or holds whitespace, or a non-finite
+    doc score, is a ``ValueError`` before the file is opened. Duplicate
+    tokens are left to ``load_index``: ``extract_phrases`` yields none, and
+    finding them takes a sort costing about 3% of a ``build-index``.
     """
     for word in index.postings:
         if word.split() != [word]:
             raise ValueError(f"cannot save the word {word!r}: an index word must be "
                              "non-empty and hold no whitespace")
+    for doc in index.docs:
+        if not math.isfinite(doc.lm_score):
+            raise ValueError(f"cannot save doc {doc.docid}: non-finite score {doc.lm_score!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_MAGIC}\t{_VERSION}\n")
         fh.write(f"docs\t{len(index.docs)}\n")

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .distance import MODES, REJECT, PhraseScore, word_table, word_term
+from .distance import MODES, PhraseScore, word_table, word_term
 from .lexicon import SynonymLexicon
 from .lm import LanguageModel
 from .phrase_index import PhraseIndex
@@ -90,7 +90,7 @@ def _rank(query, states, phrases, lm, config):
     scored = []
     for d, state in states.items():
         s = state.value()
-        if s is not REJECT:
+        if s is not None:
             scored.append((-s, phrases[d].tokens, d))
     scored.sort()
     pool = [phrases[d] for _, _, d in scored[:config.t_pool]]

@@ -6,7 +6,7 @@ their equally weighted mean, so that tests can compare ``levenshtein`` and
 
 from typing import Sequence
 
-from phrasefix import REJECT, SynonymLexicon
+from phrasefix import SynonymLexicon
 from phrasefix.distance import ALIGN_THRESHOLD
 
 
@@ -89,7 +89,7 @@ def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str], mode: str,
                   threshold: int):
     """Word-order score of R against P after alignment.
 
-    rigid: 1 if the aligned R-indices are strictly increasing, else REJECT.
+    rigid: 1 if the aligned R-indices are strictly increasing, else None.
     lcs: LCS of the R-index sequence against its sorted order over pair count.
     inversion: 1 / (1 + number of inversion pairs).
     """
@@ -97,9 +97,9 @@ def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str], mode: str,
     seq = [j for _, j in pairs]
     if mode == "rigid":
         if not seq:
-            return REJECT
+            return None
         ordered = all(seq[t] < seq[t + 1] for t in range(len(seq) - 1))
-        return 1.0 if ordered else REJECT
+        return 1.0 if ordered else None
     if not seq:
         return 0.0
     if mode == "lcs":
@@ -111,14 +111,14 @@ def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str], mode: str,
 
 def reference_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
                     lexicon: SynonymLexicon, mode: str):
-    """Equally weighted mean of the components ``mode`` enables, or REJECT:
+    """Equally weighted mean of the components ``mode`` enables, or None:
     mode A is f1 + f2; B is f1 + f2 gated by rigid word order; C adds the
     LCS word-order component; D the inversion-pair one."""
-    order = {"B": "rigid", "C": "lcs", "D": "inversion"}.get(mode)
     parts = [f1_similarity(p_tokens, r_tokens), f2_synset(p_tokens, r_tokens, lexicon)]
-    f3 = f3_word_order(p_tokens, r_tokens, order, ALIGN_THRESHOLD) if order else None
-    if f3 is REJECT:
-        return REJECT
-    if mode in ("C", "D"):
-        parts.append(f3)
+    if mode == "B":
+        if f3_word_order(p_tokens, r_tokens, "rigid", ALIGN_THRESHOLD) is None:
+            return None
+    elif mode in ("C", "D"):
+        order = "lcs" if mode == "C" else "inversion"
+        parts.append(f3_word_order(p_tokens, r_tokens, order, ALIGN_THRESHOLD))
     return sum((1.0 / len(parts)) * v for v in parts)

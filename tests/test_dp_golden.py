@@ -25,7 +25,7 @@ NOISY = DATA / "golden_noisy.txt"
 LEXICON = DATA / "golden_lexicon.txt"
 
 
-def correct_modes(tmp: Path) -> dict[str, bytes]:
+def correct_modes(tmp: Path, lexicon: Path = LEXICON) -> dict[str, bytes]:
     """Train an order-3 LM on the conftest grammar, index it, and correct
     the noisy fixture sentences once per mode."""
     corpus = tmp / "corpus.txt"
@@ -38,7 +38,7 @@ def correct_modes(tmp: Path) -> dict[str, bytes]:
     for mode in "ABCD":
         path = tmp / f"golden_dp_{mode}.jsonl"
         assert main(["correct", "--in", str(NOISY), "--lm", str(arpa), "--index", str(idx),
-                     "--lexicon", str(LEXICON), "--algorithm", "dp", "--mode", mode,
+                     "--lexicon", str(lexicon), "--algorithm", "dp", "--mode", mode,
                      "--k", "5", "--t-pool", "40", "--d-t", "3", "--out", str(path)]) == 0
         out[mode] = path.read_bytes()
     return out
@@ -49,11 +49,28 @@ def produced(tmp_path_factory):
     return correct_modes(tmp_path_factory.mktemp("golden"))
 
 
+@pytest.fixture(scope="module")
+def produced_styled(tmp_path_factory):
+    """The same run with the lexicon's words capitalized and comma-separated,
+    which ``load_lexicon`` tokenizes back to the fixture's synsets."""
+    tmp = tmp_path_factory.mktemp("styled")
+    lexicon = tmp / "lexicon.txt"
+    lexicon.write_text("".join(", ".join(w.capitalize() for w in line.split()) + "\n"
+                               for line in LEXICON.read_text(encoding="utf-8").splitlines()),
+                       encoding="utf-8")
+    return correct_modes(tmp, lexicon)
+
+
 @pytest.mark.parametrize("mode", "ABCD")
 def test_dp_jsonl_is_byte_identical(produced, mode):
     expected = (DATA / f"golden_dp_{mode}.jsonl").read_bytes()
     assert expected.count(b"\n") == len(NOISY.read_text(encoding="utf-8").splitlines())
     assert produced[mode] == expected
+
+
+@pytest.mark.parametrize("mode", "ABCD")
+def test_styled_lexicon_gives_the_same_jsonl(produced_styled, mode):
+    assert produced_styled[mode] == (DATA / f"golden_dp_{mode}.jsonl").read_bytes()
 
 
 if __name__ == "__main__":

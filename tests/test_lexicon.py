@@ -1,6 +1,6 @@
 import pytest
 
-from phrasefix import SynonymLexicon, load_lexicon
+from phrasefix import SynonymLexicon, load_lexicon, tokenize
 
 
 @pytest.fixture
@@ -12,7 +12,7 @@ def test_load_builds_mates(lex):
     assert lex.mates == {"car": {"auto"}, "auto": {"car"},
                          "wonder": {"surprise"}, "surprise": {"wonder"}}
     assert lex.share_synset("auto", "car")
-    assert lex.synonyms("auto") == {"auto", "car"}
+    assert lex.mates["auto"] == {"car"}
 
 
 def test_polysemy_across_lines():
@@ -20,14 +20,13 @@ def test_polysemy_across_lines():
     assert lex.mates["bank"] == {"shore", "lender"}
     assert lex.share_synset("bank", "shore") and lex.share_synset("bank", "lender")
     assert not lex.share_synset("shore", "lender")
-    assert lex.synonyms("bank") == {"bank", "shore", "lender"}
-    assert lex.synonyms("shore") == {"shore", "bank"}
+    assert lex.mates["shore"] == {"bank"}
 
 
 def test_empty_file():
     lex = load_lexicon("\n\n")
     assert lex.mates == {}
-    assert lex.synonyms("car") == {"car"}
+    assert lex.share_synset("car", "car")
     assert not lex.share_synset("car", "auto")
 
 
@@ -57,5 +56,15 @@ def test_mates_are_symmetric():
 
 
 def test_synonyms_include_self(lex):
-    assert lex.synonyms("car") == {"car", "auto"}
-    assert lex.synonyms("missing") == {"missing"}
+    # a word is not its own mate, but it shares a synset with itself
+    assert lex.mates["car"] == {"auto"}
+    assert lex.share_synset("car", "car") and lex.share_synset("car", "auto")
+    assert "missing" not in lex.mates and lex.share_synset("missing", "missing")
+
+
+def test_lines_are_tokenized_as_input_text():
+    lex = load_lexicon("Alpha Omega\nbeta, gamma\n")
+    assert lex.mates == {"alpha": {"omega"}, "omega": {"alpha"},
+                         "beta": {"gamma"}, "gamma": {"beta"}}
+    assert lex.share_synset(*tokenize("Alpha omega"))
+    assert load_lexicon("Approved, Supported\n").share_synset("approved", "supported")

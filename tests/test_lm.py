@@ -110,6 +110,11 @@ class TestParseArpa:
          "ngram 1 count out of sequence, expected ngram 2", 3),
         ("\\data\\\nngram 1=1\nngram 3=1\n\n\\1-grams:\n-0.3 a\n\n\\3-grams:\n"
          "-0.2 a a a\n\n\\end\\\n", "ngram 3 count out of sequence, expected ngram 2", 3),
+        # a repeated entry is reported at its second line, not as a short count
+        ("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3 a\n-0.4 a\n\n\\end\\\n",
+         "repeated 1-gram 'a'", 6),
+        ("\\data\\\nngram 1=2\nngram 2=2\n\n\\1-grams:\n-0.3 a -0.1\n-0.3 b -0.1\n\n"
+         "\\2-grams:\n-0.2 a b\n-0.5 a  b\n\n\\end\\\n", "repeated 2-gram 'a b'", 11),
     ])
     def test_error_names_message_and_line(self, text, message, line_no):
         with pytest.raises(ArpaParseError) as err:

@@ -237,6 +237,15 @@ class TestPersistence:
         with pytest.raises(ValueError, match="doc 1 has non-finite score"):
             load_index(path)
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_doc_score_rejected_before_writing(self, tmp_path, score):
+        path = tmp_path / "phrases.idx"
+        index = build_index([PhraseDoc(0, ("a", "b"), -1.0), PhraseDoc(1, ("b", "c"), score)])
+        message = f"cannot save doc 1: non-finite score {score!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_index(index, path)
+        assert not path.exists()
+
     def test_same_tokens_twice_rejected(self, tmp_path):
         path = tmp_path / "phrases.idx"
         save_index(build_index(make_docs(["a b", "b c", "a b"])), path)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from phrasefix import (REJECT, ScoredPhrase, SubstituterConfig,
+from phrasefix import (ScoredPhrase, SubstituterConfig,
                        SynonymLexicon, build_index, find_best_subs,
                        find_k_best_common, levenshtein, load_lexicon, parse_arpa,
                        train_counts)
@@ -28,7 +28,7 @@ def oracle_best_sub(docs, lm, lex, phrase, cfg):
                    for q in phrase for w in doc.tokens):
             continue
         s = reference_score(phrase, doc.tokens, lex, cfg.mode)
-        if s is REJECT:
+        if s is None:
             continue
         pool.append((s, doc))
     pool.sort(key=lambda item: (-item[0], item[1].tokens))
