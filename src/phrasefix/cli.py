@@ -16,19 +16,12 @@ import sys
 from . import evaluation, lm as lm_mod, phrase_index
 from .corrector import CorrectionResult, correct_dp, correct_fixed
 from .distance import MODES
-from .lexicon import SynonymLexicon, load_lexicon
+from .lexicon import load_lexicon
 from .substituter import SubstituterConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _open_in(path):
@@ -119,7 +112,7 @@ def cmd_correct(args) -> int:
         return _usage_error(f"--phrase-len {args.phrase_len} is below the model "
                             f"order {model.order}")
     sentences = _read_sentences(args.input)
-    lexicon = _load(load_lexicon, args.lexicon) if args.lexicon else SynonymLexicon()
+    lexicon = _load(load_lexicon, args.lexicon) if args.lexicon else {}
 
     index = phrase_index.load_index(args.index)
     if args.algorithm == "dp":
@@ -152,12 +145,11 @@ def cmd_evaluate(args) -> int:
         raise ValueError(
             f"aligned files required: {len(before)} before, {len(after)} after, "
             f"{len(refs)} references")
-    ref_sets = [[r] for r in refs]
     report = {
         "perplexity_before": evaluation.corpus_perplexity(model, before),
         "perplexity_after": evaluation.corpus_perplexity(model, after),
-        "bleu_before": evaluation.bleu(before, ref_sets),
-        "bleu_after": evaluation.bleu(after, ref_sets),
+        "bleu_before": evaluation.bleu(before, refs),
+        "bleu_after": evaluation.bleu(after, refs),
         "sentence_count": len(before),
     }
     with _open_out(args.out) as fh:
@@ -171,8 +163,8 @@ def cmd_evaluate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="phrasefix",
-                     description="Noisy sentence correction with a monolingual n-gram LM")
+    parser = argparse.ArgumentParser(
+        prog="phrasefix", description="Noisy sentence correction with a monolingual n-gram LM")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train-lm", help="train a Witten-Bell n-gram LM, emit ARPA")
@@ -228,7 +220,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+        # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

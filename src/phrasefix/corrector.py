@@ -7,7 +7,6 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .lexicon import SynonymLexicon
 from .lm import LanguageModel
 from .phrase_index import PhraseIndex
 from .substituter import (ScoredPhrase, SubstituterConfig, find_best_subs,
@@ -50,7 +49,7 @@ def cross_concat(left: Sequence[ScoredPhrase], right: Sequence[ScoredPhrase],
 
 
 def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
-               lexicon: SynonymLexicon, config: SubstituterConfig) -> CorrectionResult:
+               lexicon: dict[str, frozenset[str]], config: SubstituterConfig) -> CorrectionResult:
     """Chart decoding: stage 1's per-span cells combined bottom-up in place.
 
     Spans longer than one word extend their retrieved candidates, for each

@@ -18,8 +18,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Collection, Sequence
 
-from .lexicon import SynonymLexicon
-
 
 MODES = ("A", "B", "C", "D")
 # two aligned words must be at Levenshtein distance below this
@@ -58,13 +56,16 @@ def levenshtein(a: str, b: str) -> int:
 
 
 def word_table(word: str, vocabulary: Collection[str],
-               lexicon: SynonymLexicon) -> dict[str, tuple[int, float, bool]]:
+               lexicon: dict[str, frozenset[str]]) -> dict[str, tuple[int, float, bool]]:
     """Levenshtein distance, normalized distance and synset match of ``word``
-    against each word of ``vocabulary``."""
+    against each word of ``vocabulary``. A word matches its ``lexicon`` mates
+    and itself, even with an empty lexicon, so an unchanged word is never
+    penalized as unmatched."""
+    mates = lexicon.get(word, ())
     table = {}
     for r in vocabulary:
         d = levenshtein(word, r)
-        table[r] = (d, d / max(len(word), len(r)), lexicon.share_synset(word, r))
+        table[r] = (d, d / max(len(word), len(r)), r == word or r in mates)
     return table
 
 

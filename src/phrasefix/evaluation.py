@@ -11,68 +11,47 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .lexicon import SynonymLexicon
 from .lm import LanguageModel
 
 LOG10_2 = math.log10(2.0)
+# BLEU's highest n-gram order
+MAX_N = 4
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def modified_precision(candidate: Sequence[str],
-                       references: Sequence[Sequence[str]],
+def modified_precision(candidate: Sequence[str], reference: Sequence[str],
                        n: int) -> tuple[int, int]:
-    """(clipped matches, total candidate n-grams) for one segment.
-
-    Each distinct candidate n-gram counts at most its maximum count in any
-    single reference.
-    """
+    """(clipped matches, total candidate n-grams) for one segment: each
+    candidate n-gram counts at most as often as the reference holds it."""
     counts = _ngrams(candidate, n)
-    if not counts:
-        return 0, 0
-    max_counts: Counter = Counter()
-    for ref in references:
-        ref_counts = _ngrams(ref, n)
-        for gram in counts:
-            max_counts[gram] = max(max_counts[gram], ref_counts[gram])
-    clipped = sum(min(c, max_counts[gram]) for gram, c in counts.items())
-    return clipped, sum(counts.values())
-
-
-def closest_ref_length(candidate: Sequence[str],
-                       references: Sequence[Sequence[str]]) -> int:
-    """Reference length closest to the candidate's (shorter wins ties)."""
-    c = len(candidate)
-    return min((len(r) for r in references),
-               key=lambda rl: (abs(rl - c), rl))
+    return sum((counts & _ngrams(reference, n)).values()), sum(counts.values())
 
 
 def bleu(candidates: Sequence[Sequence[str]],
-         reference_sets: Sequence[Sequence[Sequence[str]]],
-         max_n: int = 4) -> float:
-    """Corpus-level BLEU: geometric mean of aggregated clipped precisions for
-    n = 1..max_n times the brevity penalty e^(1 - r/c) when c <= r. Any
-    zero aggregate precision yields 0 (unsmoothed)."""
-    if len(candidates) != len(reference_sets):
+         references: Sequence[Sequence[str]]) -> float:
+    """Corpus-level BLEU against one reference per candidate: geometric mean
+    of aggregated clipped precisions for n = 1..MAX_N times the brevity
+    penalty e^(1 - r/c) when c <= r. Any zero aggregate precision yields 0
+    (unsmoothed)."""
+    if len(candidates) != len(references):
         raise ValueError("candidate and reference lists differ in length")
     if not candidates:
         raise ValueError("empty corpus")
-    numer = [0] * (max_n + 1)
-    denom = [0] * (max_n + 1)
-    c_total = 0
-    r_total = 0
-    for cand, refs in zip(candidates, reference_sets):
-        c_total += len(cand)
-        r_total += closest_ref_length(cand, refs)
-        for n in range(1, max_n + 1):
-            m, t = modified_precision(cand, refs, n)
-            numer[n] += m
-            denom[n] += t
-    if any(numer[n] == 0 or denom[n] == 0 for n in range(1, max_n + 1)):
+    numer = [0] * MAX_N
+    denom = [0] * MAX_N
+    for cand, ref in zip(candidates, references):
+        for n in range(1, MAX_N + 1):
+            m, t = modified_precision(cand, ref, n)
+            numer[n - 1] += m
+            denom[n - 1] += t
+    if 0 in numer:  # a zero denominator has a zero numerator
         return 0.0
-    log_mean = sum(math.log(numer[n] / denom[n]) for n in range(1, max_n + 1)) / max_n
+    log_mean = sum(math.log(m / t) for m, t in zip(numer, denom)) / MAX_N
+    c_total = sum(map(len, candidates))
+    r_total = sum(map(len, references))
     penalty = 1.0 if c_total > r_total else math.exp(1.0 - r_total / c_total)
     return penalty * math.exp(log_mean)
 
@@ -132,7 +111,7 @@ def _typo(word: str, rng: random.Random) -> str:
 
 
 def inject_noise(sentence: Sequence[str], spec: NoiseSpec,
-                 lexicon: SynonymLexicon | None = None) -> tuple[str, ...]:
+                 lexicon: dict[str, frozenset[str]] | None = None) -> tuple[str, ...]:
     """Apply the recipe's error counts to one sentence; deterministic in
     (sentence, spec). Ops the sentence is too short for are skipped."""
     words = list(sentence)
@@ -149,7 +128,7 @@ def inject_noise(sentence: Sequence[str], spec: NoiseSpec,
         if not words:
             break
         i = rng.randrange(len(words))
-        mates = sorted(lexicon.mates.get(words[i], ())) if lexicon else []
+        mates = sorted(lexicon.get(words[i], ())) if lexicon else []
         if mates:
             words[i] = rng.choice(mates)
         else:

@@ -1,35 +1,27 @@
-"""Synonym lexicon: one synset per line, whose words ``lm.tokenize`` reads
-as it reads all input text, so ``Approved, Supported`` holds ``approved``."""
+"""Synonym lexicon: one synset per line, its words separated by whitespace.
+Each word is read as ``lm.tokenize`` reads all input text, so ``Approved,
+Supported`` holds ``approved`` and ``supported``."""
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable
 
 from .lm import tokenize
 
 
-class SynonymLexicon:
-    """``mates`` maps each word to every word it shares a synset with.
-
-    Identical words always count as sharing a synset, even with an empty
-    lexicon, so an unchanged word is never penalized as unmatched.
-    """
-
-    def __init__(self, synsets: Iterable[Iterable[str]] = ()):
-        mates = defaultdict(set)
-        for synset in synsets:
-            synset = set(synset)
-            for word in synset:
-                mates[word] |= synset - {word}
-        self.mates: dict[str, frozenset[str]] = {w: frozenset(m) for w, m in mates.items()}
-
-    def share_synset(self, w1: str, w2: str) -> bool:
-        return w1 == w2 or w2 in self.mates.get(w1, ())
-
-
-def load_lexicon(text) -> SynonymLexicon:
-    """Build a lexicon from a string or iterable of lines, each tokenized;
-    lines without a word are skipped."""
+def load_lexicon(text) -> dict[str, frozenset[str]]:
+    """Map each word of a string or iterable of lines to the other words of
+    its synsets. A field without a word is skipped; one that tokenizes to
+    several words (``well-known``) is a ``ValueError`` naming its line."""
     lines = text.splitlines() if isinstance(text, str) else text
-    return SynonymLexicon(words for line in lines if (words := tokenize(line)))
+    mates = defaultdict(set)
+    for line_no, line in enumerate(lines, 1):
+        synset = set()
+        for field in line.split():
+            words = tokenize(field)
+            if len(words) > 1:
+                raise ValueError(f"line {line_no}: {field!r} is {len(words)} words, not one")
+            synset.update(words)
+        for word in synset:
+            mates[word] |= synset - {word}
+    return {w: frozenset(m) for w, m in mates.items()}

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .distance import MODES, PhraseScore, word_table, word_term
-from .lexicon import SynonymLexicon
 from .lm import LanguageModel
 from .phrase_index import PhraseIndex
 
@@ -39,8 +38,8 @@ class SubstituterConfig:
             raise ValueError("d_t must be >= 1")
 
 
-def find_best_subs(index: PhraseIndex, lm: LanguageModel, lexicon: SynonymLexicon,
-                   sentence: Sequence[str],
+def find_best_subs(index: PhraseIndex, lm: LanguageModel,
+                   lexicon: dict[str, frozenset[str]], sentence: Sequence[str],
                    config: SubstituterConfig) -> dict[tuple[int, int], list[ScoredPhrase]]:
     """Up to k replacement candidates for every span ``sentence[i:j + 1]``,
     keyed ``(i, j)``.

@@ -6,7 +6,6 @@ their equally weighted mean, so that tests can compare ``levenshtein`` and
 
 from typing import Sequence
 
-from phrasefix import SynonymLexicon
 from phrasefix.distance import ALIGN_THRESHOLD
 
 
@@ -58,12 +57,12 @@ def f1_similarity(p_tokens: Sequence[str], r_tokens: Sequence[str]) -> float:
 
 
 def f2_synset(p_tokens: Sequence[str], r_tokens: Sequence[str],
-              lexicon: SynonymLexicon) -> float:
+              lexicon: dict[str, frozenset[str]]) -> float:
     """Fraction of P's words with an identical word or synset-mate in R."""
     if not p_tokens:
         raise ValueError("phrase must be non-empty")
     matched = sum(
-        1 for p in p_tokens if any(lexicon.share_synset(p, r) for r in r_tokens))
+        1 for p in p_tokens if any(p == r or r in lexicon.get(p, ()) for r in r_tokens))
     return matched / len(p_tokens)
 
 
@@ -110,7 +109,7 @@ def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str], mode: str,
 
 
 def reference_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
-                    lexicon: SynonymLexicon, mode: str):
+                    lexicon: dict[str, frozenset[str]], mode: str):
     """Equally weighted mean of the components ``mode`` enables, or None:
     mode A is f1 + f2; B is f1 + f2 gated by rigid word order; C adds the
     LCS word-order component; D the inversion-pair one."""

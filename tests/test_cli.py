@@ -336,6 +336,22 @@ class TestCorrect:
         assert "can't decode byte 0xff" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["correct", "inject-noise"])
+    def test_lexicon_entry_of_several_words_names_its_line(self, workspace, capsys, command):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        lexicon = tmp / "lexicon.txt"
+        lexicon.write_text(f"{sentences[0][0]} {sentences[1][0]}\nwell-known famous\n",
+                           encoding="utf-8")
+        out = tmp / "out"
+        argv = {"correct": ["--lm", str(arpa), "--index", str(idx)],
+                "inject-noise": ["--substitutions", "1"]}[command]
+        capsys.readouterr()
+        assert main([command, "--in", str(corpus), *argv, "--lexicon", str(lexicon),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"phrasefix: {lexicon}: line 2: ")
+        assert not out.exists()
+
     def test_out_dash_writes_line_aligned_records_to_stdout(self, workspace, capsys):
         tmp, corpus, sentences = workspace
         arpa, idx = self.build(tmp, corpus)
@@ -390,6 +406,18 @@ class TestParser:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["correct", "--help"]])
+    def test_help_exits_ok(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: phrasefix")
+
+    def test_bad_option_type_names_the_subcommand(self, tmp_path, capsys):
+        assert main(["correct", "--in", "x", "--lm", "y", "--index", "z",
+                     "--k", "q"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: phrasefix correct ")
+        assert err.endswith("phrasefix correct: error: argument --k: invalid int value: 'q'\n")
 
     def test_tokenize_lowercases_and_strips_punctuation(self):
         assert tokenize("The cat, IS on the mat!") == \

@@ -4,8 +4,7 @@ import weakref
 
 import pytest
 
-from phrasefix import (ScoredPhrase, SubstituterConfig, SynonymLexicon,
-                       build_index, correct_dp, correct_fixed,
+from phrasefix import (ScoredPhrase, SubstituterConfig, build_index, correct_dp, correct_fixed,
                        extract_phrases, find_k_best_common, train_counts)
 from phrasefix.corrector import cross_concat
 from phrasefix.substituter import top_k
@@ -92,7 +91,7 @@ class TestCorrectDp:
         docs = [PhraseDoc(0, sentence, lm.score_sequence(sentence))]
         index = build_index(docs)
         cfg = SubstituterConfig(k=5, t_pool=10)
-        result = correct_dp(sentence, index, lm, SynonymLexicon(), cfg)
+        result = correct_dp(sentence, index, lm, {}, cfg)
         assert result.corrected == result.original
         assert result.score_after == pytest.approx(result.score_before)
 
@@ -101,7 +100,7 @@ class TestCorrectDp:
         corpus = [("aa", "bb", "cc", "dd")] * 8 + [("aa", "bb")] * 2
         lm, docs, index = make_setup(corpus)
         cfg = SubstituterConfig(k=UNBOUNDED, t_pool=UNBOUNDED)
-        lex = SynonymLexicon()
+        lex = {}
         sentence = ("bb", "aa", "cc", "dd")
         result = correct_dp(sentence, index, lm, lex, cfg)
         assert result.corrected[:2] == ("aa", "bb")
@@ -123,10 +122,10 @@ class TestCorrectDp:
             return {name: len(value) for name, value in vars(index).items()
                     if hasattr(value, "__len__")}
 
-        correct_dp(sentence(), index, lm, SynonymLexicon(), config)
+        correct_dp(sentence(), index, lm, {}, config)
         names, before = sorted(vars(index)), sizes()
         for _ in range(5):
-            correct_dp(sentence(), index, lm, SynonymLexicon(), config)
+            correct_dp(sentence(), index, lm, {}, config)
             assert sorted(vars(index)) == names
             assert sizes() == before
         # and what it derived does not depend on the queries that built it
@@ -140,7 +139,7 @@ class TestCorrectDp:
         def run():
             lm, _, index = make_setup([("aa", "bb", "cc", "dd")] * 3)
             for sentence in [("bb", "aa", "cc"), ("aa", "bb", "cd", "dd"), ("dd",)]:
-                correct_dp(sentence, index, lm, SynonymLexicon(),
+                correct_dp(sentence, index, lm, {},
                            SubstituterConfig(k=3, t_pool=10))
             return weakref.ref(lm), weakref.ref(index)
 
@@ -160,7 +159,7 @@ class TestCorrectDp:
         lm, docs, index = make_setup(corpus)
         cfg = SubstituterConfig(k=2, t_pool=5)
         sentence = tuple("abcdefgh"[i % 8] for i in range(n))
-        result = correct_dp(sentence, index, lm, SynonymLexicon(), cfg)
+        result = correct_dp(sentence, index, lm, {}, cfg)
         assert result.stats["split_evals"] == (n ** 3 - n) // 6
         assert result.stats["sub_calls"] == n * (n + 1) // 2
 
@@ -169,7 +168,7 @@ class TestCorrectDp:
         checked = 0
         while checked < 12:
             sentence, lm, index, cfg = random_instance(rng, max_n=5)
-            lex = SynonymLexicon()
+            lex = {}
             result = correct_dp(sentence, index, lm, lex, cfg)
             oracle = exhaustive_best_score(sentence, index, lm, lex, cfg)
             assert result.score_after == pytest.approx(oracle, abs=1e-9)
@@ -179,7 +178,7 @@ class TestCorrectDp:
         rng = random.Random(15)
         for _ in range(8):
             sentence, lm, index, cfg = random_instance(rng, max_n=5)
-            lex = SynonymLexicon()
+            lex = {}
             candidates = span_candidates(sentence, index, lm, lex, cfg)
             oracle = exhaustive_best_score(sentence, index, lm, lex, cfg, candidates)
             pruned = SubstituterConfig(k=2, t_pool=cfg.t_pool, mode=cfg.mode, d_t=cfg.d_t)
@@ -191,7 +190,7 @@ class TestCorrectDp:
         for _ in range(10):
             sentence, lm, index, _ = random_instance(rng, max_n=5)
             cfg = SubstituterConfig(k=3, t_pool=10)
-            lex = SynonymLexicon()
+            lex = {}
             first = correct_dp(sentence, index, lm, lex, cfg)
             second = correct_dp(sentence, index, lm, lex, cfg)
             assert first.score_after >= first.score_before
@@ -202,7 +201,7 @@ class TestCorrectDp:
         rng = random.Random(18)
         sentence, lm, index, _ = random_instance(rng, max_n=5)
         cfg = SubstituterConfig(k=3, t_pool=10)
-        result = correct_dp(sentence, index, lm, SynonymLexicon(), cfg)
+        result = correct_dp(sentence, index, lm, {}, cfg)
         assert 1 <= len(result.kbest) <= cfg.k
         scores = [c.score for c in result.kbest]
         assert scores == sorted(scores, reverse=True)
@@ -210,7 +209,7 @@ class TestCorrectDp:
     def test_empty_sentence_rejected(self):
         lm, docs, index = make_setup([("aa", "bb")])
         with pytest.raises(ValueError):
-            correct_dp((), index, lm, SynonymLexicon(), SubstituterConfig())
+            correct_dp((), index, lm, {}, SubstituterConfig())
 
 
 class TestCorrectFixed:

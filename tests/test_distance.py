@@ -4,8 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phrasefix import (SubstituterConfig, SynonymLexicon, levenshtein,
-                       load_lexicon)
+from phrasefix import SubstituterConfig, levenshtein, load_lexicon
 from phrasefix.distance import MODES, PhraseScore, word_table, word_term
 
 from conftest import random_word
@@ -99,7 +98,7 @@ class TestComponents:
 
     def test_f2_identity_with_empty_lexicon(self):
         p = ("one", "game", "wonder")
-        assert f2_synset(p, p, SynonymLexicon()) == 1.0
+        assert f2_synset(p, p, {}) == 1.0
 
     def test_f2_synonym_pair_example(self):
         lex = load_lexicon("wonder surprise\n")
@@ -107,8 +106,16 @@ class TestComponents:
         r = ("one", "game", "wonder")
         assert f2_synset(p, r, lex) == 1.0
 
+    def test_word_table_flags_identity_and_mates(self):
+        vocabulary = {"car", "auto"}
+        flags = {r: syn for r, (_, _, syn) in word_table("car", vocabulary, {}).items()}
+        assert flags == {"car": True, "auto": False}
+        lex = load_lexicon("car auto\n")
+        flags = {r: syn for r, (_, _, syn) in word_table("car", vocabulary, lex).items()}
+        assert flags == {"car": True, "auto": True}
+
     def test_f2_disjoint(self):
-        assert f2_synset(("aa", "bb"), ("cc", "dd"), SynonymLexicon()) == 0.0
+        assert f2_synset(("aa", "bb"), ("cc", "dd"), {}) == 0.0
 
     def test_f3_sorted_indices(self):
         p = ("alpha", "beta", "gamma")
@@ -155,12 +162,12 @@ class TestCombinedScore:
     @pytest.mark.parametrize("mode", ["A", "B", "C", "D"])
     def test_identity_scores_one(self, mode):
         p = ("the", "trade", "agreement")
-        assert pair_score(p, p, SynonymLexicon(), mode) == pytest.approx(1.0)
+        assert pair_score(p, p, {}, mode) == pytest.approx(1.0)
 
     def test_mode_b_rejects_crossed_permutation(self):
         p = ("alpha", "beta", "gamma")
         r = ("gamma", "alpha", "beta")
-        assert pair_score(p, r, SynonymLexicon(), "B") is None
+        assert pair_score(p, r, {}, "B") is None
 
     def test_mode_c_hand_weighted_sum(self):
         lex = load_lexicon("beta gamma\n")
@@ -188,7 +195,7 @@ class TestCombinedScore:
 
     def test_value_in_unit_interval(self):
         rng = random.Random(21)
-        lex = SynonymLexicon()
+        lex = {}
         for _ in range(200):
             p = tuple(random_word(rng, 2, 5) for _ in range(rng.randint(1, 4)))
             r = tuple(random_word(rng, 2, 5) for _ in range(rng.randint(1, 4)))

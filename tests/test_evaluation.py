@@ -3,94 +3,74 @@ import random
 
 import pytest
 
-from phrasefix import (NoiseSpec, SynonymLexicon, bleu, corpus_perplexity,
-                       inject_noise, modified_precision, parse_arpa, train_counts)
-from phrasefix.evaluation import closest_ref_length
+from phrasefix import (NoiseSpec, bleu, corpus_perplexity, inject_noise,
+                       load_lexicon, modified_precision, parse_arpa, train_counts)
 
 from conftest import random_word
 
-CAT_REFS = [
-    ("the", "cat", "is", "on", "the", "mat"),
-    ("there", "is", "a", "cat", "on", "the", "mat"),
-]
+# the first reference of Papineni et al.'s (2002) worked examples
+CAT_REF = ("the", "cat", "is", "on", "the", "mat")
 
 
 class TestModifiedPrecision:
     def test_seven_the_clips_to_two(self):
         cand = ("the",) * 7
-        assert modified_precision(cand, CAT_REFS, 1) == (2, 7)
+        assert modified_precision(cand, CAT_REF, 1) == (2, 7)
 
     def test_the_cat_unigrams_and_bigram(self):
         cand = ("the", "cat")
-        assert modified_precision(cand, CAT_REFS, 1) == (2, 2)
-        assert modified_precision(cand, CAT_REFS, 2) == (1, 1)
-
-    def test_clip_is_max_over_single_reference(self):
-        # "a" occurs twice in one reference, once in the other
-        refs = [("a", "b", "a"), ("a", "c")]
-        assert modified_precision(("a", "a", "a"), refs, 1) == (2, 3)
+        assert modified_precision(cand, CAT_REF, 1) == (2, 2)
+        assert modified_precision(cand, CAT_REF, 2) == (1, 1)
 
     def test_candidate_shorter_than_n(self):
-        assert modified_precision(("x",), CAT_REFS, 2) == (0, 0)
-
-
-class TestClosestRefLength:
-    def test_picks_nearest(self):
-        assert closest_ref_length(("w",) * 6, CAT_REFS) == 6
-        assert closest_ref_length(("w",) * 9, CAT_REFS) == 7
-
-    def test_shorter_wins_ties(self):
-        refs = [("a",) * 4, ("a",) * 6]
-        assert closest_ref_length(("w",) * 5, refs) == 4
+        assert modified_precision(("x",), CAT_REF, 2) == (0, 0)
 
 
 class TestBleu:
     def test_perfect_match_scores_one(self):
-        cand = [("the", "cat", "is", "on", "the", "mat")]
-        assert bleu(cand, [CAT_REFS]) == pytest.approx(1.0)
+        assert bleu([CAT_REF], [CAT_REF]) == pytest.approx(1.0)
 
     def test_zero_overlap_scores_zero(self):
-        assert bleu([("x", "y", "z", "w", "v")], [CAT_REFS]) == 0.0
+        assert bleu([("x", "y", "z", "w", "v")], [CAT_REF]) == 0.0
 
     def test_missing_higher_order_match_scores_zero(self):
         # all unigrams match but no bigram does, so BLEU-4 collapses to 0
         cand = [("cat", "the", "mat", "on", "is")]
-        assert bleu(cand, [CAT_REFS]) == 0.0
+        assert bleu(cand, [CAT_REF]) == 0.0
 
     def test_hand_computed_corpus_value(self):
         cands = [("the", "cat", "is", "on", "the", "mat"),
                  ("there", "is", "a", "cat", "on", "a", "mat")]
-        refsets = [CAT_REFS, CAT_REFS]
+        refs = [CAT_REF, ("there", "is", "a", "cat", "on", "the", "mat")]
         # aggregate counts over both segments, per order
         precisions = []
         for n in range(1, 5):
             m = t = 0
-            for cand, refs in zip(cands, refsets):
-                mm, tt = modified_precision(cand, refs, n)
+            for cand, ref in zip(cands, refs):
+                mm, tt = modified_precision(cand, ref, n)
                 m += mm
                 t += tt
             precisions.append(m / t)
         c, r = 13, 13
         expected = math.exp(1 - r / c) * math.exp(
             sum(math.log(p) for p in precisions) / 4)
-        assert bleu(cands, refsets) == pytest.approx(expected)
+        assert bleu(cands, refs) == pytest.approx(expected)
 
     def test_brevity_penalty_applied_only_when_short(self):
-        ref = [("a", "b", "c", "d", "e")]
+        ref = ("a", "b", "c", "d", "e")
         short = [("a", "b", "c", "d")]
         # all 1..4-grams of the short candidate appear in the reference
         val = bleu(short, [ref])
         assert val == pytest.approx(math.exp(1 - 5 / 4))
-        long_refs = [[("a", "b", "c", "d")]]
-        assert bleu([("a", "b", "c", "d", "e")], long_refs) < 1.0  # extra gram hurts
+        assert bleu([ref], [("a", "b", "c", "d")]) < 1.0  # extra gram hurts
         # equal length: penalty is exp(0) = 1
-        assert bleu([("a", "b", "c", "d", "e")], [ref]) == pytest.approx(1.0)
+        assert bleu([ref], [ref]) == pytest.approx(1.0)
 
     def test_corpus_level_not_mean_of_segments(self):
         cands = [("a", "b", "c", "d"), ("a", "b", "c", "d", "e")]
-        refsets = [[("a", "b", "c", "d", "x")], [("a", "b", "c", "d", "e")]]
-        whole = bleu(cands, refsets)
-        per_segment = [bleu([c], [r]) for c, r in zip(cands, refsets)]
+        refs = [("a", "b", "c", "d", "x"), ("a", "b", "c", "d", "e")]
+        whole = bleu(cands, refs)
+        per_segment = [bleu([c], [r]) for c, r in zip(cands, refs)]
         assert whole != pytest.approx(sum(per_segment) / 2)
 
     def test_mismatched_lengths_rejected(self):
@@ -184,7 +164,7 @@ class TestInjectNoise:
         assert out == s
 
     def test_substitute_prefers_lexicon_mates(self):
-        lex = SynonymLexicon([{"big", "large"}])
+        lex = load_lexicon("big large\n")
         s = ("big",)
         out = inject_noise(s, NoiseSpec(seed=0, substitute_word=1), lex)
         assert out == ("large",)

@@ -1,6 +1,9 @@
+import re
+
 import pytest
 
-from phrasefix import SynonymLexicon, load_lexicon, tokenize
+from phrasefix import load_lexicon, tokenize
+from phrasefix.distance import word_table
 
 
 @pytest.fixture
@@ -8,63 +11,78 @@ def lex():
     return load_lexicon("car auto\nwonder surprise\n")
 
 
+def matches(lexicon, w1, w2):
+    """Whether stage 1 counts ``w2`` as a synset match of ``w1``."""
+    return word_table(w1, (w2,), lexicon)[w2][2]
+
+
 def test_load_builds_mates(lex):
-    assert lex.mates == {"car": {"auto"}, "auto": {"car"},
-                         "wonder": {"surprise"}, "surprise": {"wonder"}}
-    assert lex.share_synset("auto", "car")
-    assert lex.mates["auto"] == {"car"}
+    assert lex == {"car": {"auto"}, "auto": {"car"},
+                   "wonder": {"surprise"}, "surprise": {"wonder"}}
+    assert all(isinstance(mates, frozenset) for mates in lex.values())
 
 
 def test_polysemy_across_lines():
     lex = load_lexicon("bank shore\nbank lender\n")
-    assert lex.mates["bank"] == {"shore", "lender"}
-    assert lex.share_synset("bank", "shore") and lex.share_synset("bank", "lender")
-    assert not lex.share_synset("shore", "lender")
-    assert lex.mates["shore"] == {"bank"}
+    assert lex["bank"] == {"shore", "lender"}
+    assert "lender" not in lex["shore"]
+    assert lex["shore"] == {"bank"}
 
 
 def test_empty_file():
     lex = load_lexicon("\n\n")
-    assert lex.mates == {}
-    assert lex.share_synset("car", "car")
-    assert not lex.share_synset("car", "auto")
+    assert lex == {}
+    assert matches(lex, "car", "car")
+    assert not matches(lex, "car", "auto")
 
 
 def test_share_synset(lex):
-    assert lex.share_synset("wonder", "surprise")
-    assert not lex.share_synset("car", "wonder")
+    assert "surprise" in lex["wonder"]
+    assert "wonder" not in lex["car"]
 
 
 def test_identity_counts_even_with_empty_lexicon():
-    assert SynonymLexicon().share_synset("cat", "cat")
+    assert matches({}, "cat", "cat")
 
 
 def test_symmetry_and_reflexivity(lex):
     words = ["car", "auto", "wonder", "surprise", "unknown"]
     for w1 in words:
-        assert lex.share_synset(w1, w1)
+        assert matches(lex, w1, w1)
         for w2 in words:
-            assert lex.share_synset(w1, w2) == lex.share_synset(w2, w1)
+            assert matches(lex, w1, w2) == matches(lex, w2, w1)
 
 
 def test_mates_are_symmetric():
     lex = load_lexicon("car auto\nbank shore\nbank lender\nwonder surprise marvel\n")
-    for word, mates in lex.mates.items():
+    for word, mates in lex.items():
         assert word not in mates
         for mate in mates:
-            assert word in lex.mates[mate]
+            assert word in lex[mate]
 
 
 def test_synonyms_include_self(lex):
     # a word is not its own mate, but it shares a synset with itself
-    assert lex.mates["car"] == {"auto"}
-    assert lex.share_synset("car", "car") and lex.share_synset("car", "auto")
-    assert "missing" not in lex.mates and lex.share_synset("missing", "missing")
+    assert lex["car"] == {"auto"}
+    assert matches(lex, "car", "car") and matches(lex, "car", "auto")
+    assert "missing" not in lex and matches(lex, "missing", "missing")
 
 
 def test_lines_are_tokenized_as_input_text():
     lex = load_lexicon("Alpha Omega\nbeta, gamma\n")
-    assert lex.mates == {"alpha": {"omega"}, "omega": {"alpha"},
-                         "beta": {"gamma"}, "gamma": {"beta"}}
-    assert lex.share_synset(*tokenize("Alpha omega"))
-    assert load_lexicon("Approved, Supported\n").share_synset("approved", "supported")
+    assert lex == {"alpha": {"omega"}, "omega": {"alpha"},
+                   "beta": {"gamma"}, "gamma": {"beta"}}
+    assert matches(lex, *tokenize("Alpha omega"))
+    assert load_lexicon("Approved, Supported\n") == {"approved": {"supported"},
+                                                      "supported": {"approved"}}
+
+
+@pytest.mark.parametrize("field", ["well-known", "don't", "a/b"])
+def test_a_field_of_several_words_names_its_line(field):
+    # read as one synset, "well" would become a mate of "famous"
+    with pytest.raises(ValueError, match=f"^line 2: {re.escape(repr(field))} is 2 words"):
+        load_lexicon(f"car auto\n{field} famous\n")
+
+
+def test_a_field_without_a_word_is_skipped():
+    assert load_lexicon("car , auto --\n") == {"car": {"auto"}, "auto": {"car"}}

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from phrasefix import (ScoredPhrase, SubstituterConfig,
-                       SynonymLexicon, build_index, find_best_subs,
+from phrasefix import (ScoredPhrase, SubstituterConfig, build_index, find_best_subs,
                        find_k_best_common, levenshtein, load_lexicon, parse_arpa,
                        train_counts)
 from phrasefix.phrase_index import PhraseDoc
@@ -60,22 +59,22 @@ class TestFindBestSub:
     def test_verbatim_phrase_is_retrieved(self, toy_setup):
         lm, docs, index = toy_setup
         cfg = SubstituterConfig(k=6, t_pool=10)
-        result = whole_span(index, lm, SynonymLexicon(), ("the", "european", "union"), cfg)
+        result = whole_span(index, lm, {}, ("the", "european", "union"), cfg)
         assert ("the", "european", "union") in {c.tokens for c in result}
 
     def test_toy_output_sorted_by_lm_score(self, toy_setup):
         lm, docs, index = toy_setup
         cfg = SubstituterConfig(k=5, t_pool=10)
-        result = whole_span(index, lm, SynonymLexicon(), ("europe", "extreme"), cfg)
+        result = whole_span(index, lm, {}, ("europe", "extreme"), cfg)
         assert result
         scores = [c.score for c in result]
         assert scores == sorted(scores, reverse=True)
-        assert result == oracle_best_sub(docs, lm, SynonymLexicon(),
+        assert result == oracle_best_sub(docs, lm, {},
                                          ("europe", "extreme"), cfg)
 
     def test_oracle_equivalence_on_random_instances(self):
         rng = random.Random(99)
-        lex = SynonymLexicon()
+        lex = {}
         for _ in range(20):
             vocab = [random_word(rng, 3, 6) for _ in range(10)]
             corpus = [tuple(rng.choice(vocab) for _ in range(rng.randint(2, 4)))
@@ -104,20 +103,20 @@ class TestFindBestSub:
         index = build_index(docs)
         cfg = SubstituterConfig(k=5, t_pool=25, mode="C")
         phrase = (vocab[0], vocab[1])
-        got = whole_span(index, lm, SynonymLexicon(), phrase, cfg)
+        got = whole_span(index, lm, {}, phrase, cfg)
         assert len(got) == 5
-        assert got == oracle_best_sub(docs, lm, SynonymLexicon(), phrase, cfg)
+        assert got == oracle_best_sub(docs, lm, {}, phrase, cfg)
 
     def test_full_t_matches_oracle_exactly(self, toy_setup):
         lm, docs, index = toy_setup
         cfg = SubstituterConfig(k=4, t_pool=len(docs), mode="A")
         phrase = ("extreme", "right")
-        assert whole_span(index, lm, SynonymLexicon(), phrase, cfg) == \
-            oracle_best_sub(docs, lm, SynonymLexicon(), phrase, cfg)
+        assert whole_span(index, lm, {}, phrase, cfg) == \
+            oracle_best_sub(docs, lm, {}, phrase, cfg)
 
     def test_raising_t_only_displaces_with_better_scores(self, toy_setup):
         lm, docs, index = toy_setup
-        lex = SynonymLexicon()
+        lex = {}
         phrase = ("europe", "extreme", "right")
         small = whole_span(index, lm, lex, phrase, SubstituterConfig(k=3, t_pool=3))
         large = whole_span(index, lm, lex, phrase, SubstituterConfig(k=3, t_pool=12))
@@ -176,9 +175,9 @@ class TestFindBestSubs:
         index = build_index(docs + [copy])
         phrase = ("the", "european", "right")
         cfg = SubstituterConfig(k=5, t_pool=10)
-        cells = find_best_subs(index, lm, SynonymLexicon(), phrase, cfg)
+        cells = find_best_subs(index, lm, {}, phrase, cfg)
         for (i, j), cell in cells.items():
-            assert cell == oracle_best_sub(docs + [copy], lm, SynonymLexicon(),
+            assert cell == oracle_best_sub(docs + [copy], lm, {},
                                            phrase[i:j + 1], cfg)
         assert ScoredPhrase(docs[0].tokens, docs[0].lm_score) in cells[(0, 2)]
 
@@ -190,13 +189,13 @@ class TestFindBestSubs:
         assert lm.score_sequence(("a", "b")) == pytest.approx(-1.301)
         index = build_index([PhraseDoc(0, ("a", "b"), 0.0)])
         cfg = SubstituterConfig(k=5, t_pool=10)
-        cell = find_best_subs(index, lm, SynonymLexicon(), ("a", "b"), cfg)[(0, 1)]
+        cell = find_best_subs(index, lm, {}, ("a", "b"), cfg)[(0, 1)]
         assert [c for c in cell if c.tokens == ("a", "b")] == [ScoredPhrase(("a", "b"), 0.0)]
 
     def test_empty_sentence_rejected(self, toy_setup):
         lm, docs, index = toy_setup
         with pytest.raises(ValueError):
-            find_best_subs(index, lm, SynonymLexicon(), (), SubstituterConfig())
+            find_best_subs(index, lm, {}, (), SubstituterConfig())
 
 
 class TestFindKBestCommon:
