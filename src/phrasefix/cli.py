@@ -146,8 +146,8 @@ def cmd_evaluate(args) -> int:
             f"aligned files required: {len(before)} before, {len(after)} after, "
             f"{len(refs)} references")
     report = {
-        "perplexity_before": evaluation.corpus_perplexity(model, before),
-        "perplexity_after": evaluation.corpus_perplexity(model, after),
+        "perplexity_before": _perplexity(model, before),
+        "perplexity_after": _perplexity(model, after),
         "bleu_before": evaluation.bleu(before, refs),
         "bleu_after": evaluation.bleu(after, refs),
         "sentence_count": len(before),
@@ -155,11 +155,21 @@ def cmd_evaluate(args) -> int:
     with _open_out(args.out) as fh:
         fh.write(json.dumps(report) + "\n")
     print(f"sentences: {report['sentence_count']}", file=sys.stderr)
-    print(f"perplexity: {report['perplexity_before']:.3f} -> "
-          f"{report['perplexity_after']:.3f}", file=sys.stderr)
+    print("perplexity: {} -> {}".format(*(
+        "n/a" if report[key] is None else f"{report[key]:.3f}"
+        for key in ("perplexity_before", "perplexity_after"))), file=sys.stderr)
     print(f"bleu: {report['bleu_before']:.3f} -> {report['bleu_after']:.3f}",
           file=sys.stderr)
     return EXIT_OK
+
+
+def _perplexity(model, sentences):
+    """``corpus_perplexity`` of one side, or None when none of its sentences
+    is as long as the model order (an output the corrector shortened), so
+    that the rest of the report is still written."""
+    if not any(len(s) >= model.order for s in sentences):
+        return None
+    return evaluation.corpus_perplexity(model, sentences)
 
 
 def build_parser() -> argparse.ArgumentParser:

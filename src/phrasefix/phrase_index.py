@@ -3,9 +3,9 @@ document, and an inverted index with sorted postings lists maps each word to
 its docs. ``PhraseIndex.retrieve`` takes one query word and finds its fuzzy
 matches among the postings' words: a padded-bigram count filter (Ukkonen
 1992; Gravano et al. 2001) rules out words that cannot be within ``d_t``,
-and ``distance.levenshtein`` verifies the rest. The bigram table is built
-once per index, on the first call, and does not depend on the query or on
-``d_t``; nothing else is kept between calls."""
+and one ``distance.edit_distances`` call verifies the rest. The bigram
+table is built once per index, on the first call, and does not depend on
+the query or on ``d_t``; nothing else is kept between calls."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .distance import levenshtein
+from .distance import edit_distances
 from .lm import LanguageModel
 
 
@@ -60,7 +60,7 @@ class PhraseIndex:
         padded bigrams (``_bigram_keys``), counted as multisets, because one
         edit changes at most two of them. So only words that share enough
         bigrams with ``word``, and whose length gap is below ``d_t``, reach
-        ``levenshtein``; the filter drops no match.
+        ``edit_distances``; the filter drops no match.
         """
         if d_t < 1:
             raise ValueError("d_t must be >= 1")
@@ -73,10 +73,11 @@ class PhraseIndex:
             # the bound is <= 0 for these short words, so a match may share
             # no bigram with the query
             words = words | {w for w in self.postings if len(w) < slack}
+        near = [w for w in words if shared[w] >= max(len(w), n) + 1 - slack
+                and abs(len(w) - n) < d_t]
+        (distances,) = edit_distances((word,), near)
         return sorted(set().union(*(
-            self.postings[w] for w in words
-            if shared[w] >= max(len(w), n) + 1 - slack
-            and abs(len(w) - n) < d_t and levenshtein(word, w) < d_t)))
+            self.postings[w] for w, d in zip(near, distances) if d < d_t)))
 
     @cached_property
     def _by_bigram(self) -> dict[tuple[str, int], list[str]]:

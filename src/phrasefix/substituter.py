@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .distance import MODES, PhraseScore, word_table, word_term
+from .distance import MODES, PhraseScore, word_tables, word_term
 from .lm import LanguageModel
 from .phrase_index import PhraseIndex
 
@@ -62,10 +62,8 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
     hits = {w: index.retrieve(w, config.d_t) for w in set(tokens)}
     retrieved = set().union(*hits.values())
     vocabulary = {r for d in retrieved for r in docs[d].tokens}
-    terms = {}
-    for w in hits:
-        table = word_table(w, vocabulary, lexicon)
-        terms[w] = {d: word_term(table, docs[d].tokens) for d in retrieved}
+    terms = {w: {d: word_term(table, docs[d].tokens) for d in retrieved}
+             for w, table in word_tables(hits, vocabulary, lexicon).items()}
     phrases = {d: ScoredPhrase(docs[d].tokens, docs[d].lm_score) for d in retrieved}
     cells = {}
     for i in range(n):
@@ -85,14 +83,23 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
 
 def _rank(query, states, phrases, lm, config):
     """Stage 1 cut to t_pool by distance score, ties by tokens then docid,
-    the identity appended last, then stage 2's k best by LM score."""
-    scored = []
-    for d, state in states.items():
-        s = state.value()
-        if s is not None:
-            scored.append((-s, phrases[d].tokens, d))
-    scored.sort()
-    pool = [phrases[d] for _, _, d in scored[:config.t_pool]]
+    the identity appended last, then stage 2's k best by LM score.
+
+    A pool of at most t_pool states outside mode B loses no doc to the cut
+    or to a rejection, so its scores and their sort are skipped: ``top_k``
+    sees the same docs, and among docs with the same tokens, which are
+    retrieved by the same words and so enter ``states`` together in docid
+    order, the lowest docid still comes first."""
+    if len(states) <= config.t_pool and config.mode != "B":
+        pool = [phrases[d] for d in states]
+    else:
+        scored = []
+        for d, state in states.items():
+            s = state.value()
+            if s is not None:
+                scored.append((-s, phrases[d].tokens, d))
+        scored.sort()
+        pool = [phrases[d] for _, _, d in scored[:config.t_pool]]
     pool.append(ScoredPhrase(query, lm.score_sequence(query)))
     return top_k(pool, config.k)
 

@@ -390,6 +390,26 @@ class TestEvaluate:
         assert rep["bleu_before"] < rep["bleu_after"]
         assert rep["perplexity_after"] < rep["perplexity_before"]
 
+    def test_side_shorter_than_model_order_has_no_perplexity(self, workspace, capsys):
+        # a corrector output of 2-word lines under an order-3 model still
+        # gets its BLEU; only its perplexity is undefined
+        tmp, corpus, sentences = workspace
+        arpa = tmp / "m.arpa"
+        before, after, report = tmp / "before.txt", tmp / "after.txt", tmp / "report.json"
+        main(["train-lm", "--corpus", str(corpus), "--order", "3", "--out", str(arpa)])
+        write_lines(before, sentences[:2])
+        write_lines(after, [s[:2] for s in sentences[:2]])
+        capsys.readouterr()
+        assert main(["evaluate", "--before", str(before), "--after", str(after),
+                     "--refs", str(before), "--lm", str(arpa),
+                     "--out", str(report)]) == 0
+        rep = json.loads(report.read_text())
+        assert rep["perplexity_after"] is None
+        assert rep["perplexity_before"] > 1.0
+        assert rep["bleu_before"] == pytest.approx(1.0)
+        assert rep["bleu_after"] == 0.0
+        assert f"perplexity: {rep['perplexity_before']:.3f} -> n/a\n" in capsys.readouterr().err
+
     def test_misaligned_files_are_data_error(self, workspace):
         tmp, corpus, sentences = workspace
         arpa = tmp / "m.arpa"

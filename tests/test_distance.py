@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phrasefix import SubstituterConfig, levenshtein, load_lexicon
-from phrasefix.distance import MODES, PhraseScore, word_table, word_term
+from phrasefix.distance import MODES, PhraseScore, edit_distances, word_tables, word_term
 
 from conftest import random_word
 from distance_oracle import (align, count_inversions, f1_similarity, f2_synset,
@@ -55,6 +55,53 @@ class TestLevenshtein:
             assert dab == dba
             assert (dab == 0) == (a == b)
             assert dab <= levenshtein(a, c) + levenshtein(c, b)
+
+
+def random_strings(rng, count):
+    """Empty strings and strings of ``CODE_POINTS`` up to 150 long, so that
+    lanes start and end inside and across Python's 30-bit int digits."""
+    return ["".join(rng.choice(CODE_POINTS) for _ in range(rng.choice((0, rng.randint(1, 150)))))
+            for _ in range(count)]
+
+
+class TestEditDistances:
+    def reference_rows(self, words, others):
+        return [[reference_levenshtein(a, b) for b in others] for a in words]
+
+    def test_adjacent_short_lanes_equal_reference(self):
+        # every string over "abc" of length 0-4 in one call: lanes of length
+        # 0 to 4 side by side, where a carry or a shift could leak
+        strings = ["".join(t) for n in range(5) for t in itertools.product("abc", repeat=n)]
+        assert edit_distances(strings, strings) == self.reference_rows(strings, strings)
+
+    def test_long_unicode_lanes_equal_reference(self):
+        rng = random.Random(29)
+        for _ in range(12):
+            words = random_strings(rng, rng.randint(1, 4))
+            others = random_strings(rng, rng.randint(0, 6))
+            assert edit_distances(words, others) == self.reference_rows(words, others)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(words=st.lists(st.text(max_size=30), max_size=4),
+           others=st.lists(st.text(max_size=30), max_size=6))
+    def test_equals_reference_property(self, words, others):
+        assert edit_distances(words, others) == self.reference_rows(words, others)
+
+    def test_word_tables_equal_pairwise_entries(self):
+        rng = random.Random(37)
+        vocabulary = {random_word(rng, 1, 9) for _ in range(60)}
+        words = list(dict.fromkeys([random_word(rng, 1, 9) for _ in range(8)]
+                                   + sorted(vocabulary)[:2]))
+        lexicon = load_lexicon(" ".join(words[:3] + sorted(vocabulary)[5:8]) + "\n")
+        tables = word_tables(words, vocabulary, lexicon)
+        assert list(tables) == words
+        for w in words:
+            mates = lexicon.get(w, ())
+            expected = {}
+            for r in vocabulary:
+                d = reference_levenshtein(w, r)
+                expected[r] = (d, d / max(len(w), len(r)), r == w or r in mates)
+            assert tables[w] == expected
 
 
 class TestAlign:
@@ -108,10 +155,12 @@ class TestComponents:
 
     def test_word_table_flags_identity_and_mates(self):
         vocabulary = {"car", "auto"}
-        flags = {r: syn for r, (_, _, syn) in word_table("car", vocabulary, {}).items()}
+        table = word_tables(("car",), vocabulary, {})["car"]
+        flags = {r: syn for r, (_, _, syn) in table.items()}
         assert flags == {"car": True, "auto": False}
         lex = load_lexicon("car auto\n")
-        flags = {r: syn for r, (_, _, syn) in word_table("car", vocabulary, lex).items()}
+        table = word_tables(("car",), vocabulary, lex)["car"]
+        flags = {r: syn for r, (_, _, syn) in table.items()}
         assert flags == {"car": True, "auto": True}
 
     def test_f2_disjoint(self):
@@ -154,7 +203,7 @@ def pair_score(p, r, lexicon, mode):
     """The kernel's score of R against P, from the tables stage 1 builds."""
     state = PhraseScore(mode)
     for w in p:
-        state.add(word_term(word_table(w, r, lexicon), r))
+        state.add(word_term(word_tables((w,), r, lexicon)[w], r))
     return state.value()
 
 

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from phrasefix import load_lexicon, tokenize
-from phrasefix.distance import word_table
+from phrasefix.distance import word_tables
 
 
 @pytest.fixture
@@ -13,7 +13,7 @@ def lex():
 
 def matches(lexicon, w1, w2):
     """Whether stage 1 counts ``w2`` as a synset match of ``w1``."""
-    return word_table(w1, (w2,), lexicon)[w2][2]
+    return word_tables((w1,), (w2,), lexicon)[w1][w2][2]
 
 
 def test_load_builds_mates(lex):

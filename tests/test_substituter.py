@@ -5,6 +5,8 @@ import pytest
 from phrasefix import (ScoredPhrase, SubstituterConfig, build_index, find_best_subs,
                        find_k_best_common, levenshtein, load_lexicon, parse_arpa,
                        train_counts)
+from phrasefix import substituter
+from phrasefix.distance import PhraseScore
 from phrasefix.phrase_index import PhraseDoc
 
 from conftest import random_word, retrieve_any
@@ -36,6 +38,32 @@ def oracle_best_sub(docs, lm, lex, phrase, cfg):
         cand.setdefault(d.tokens, ScoredPhrase(d.tokens, d.lm_score))
     cand.setdefault(phrase, ScoredPhrase(phrase, lm.score_sequence(phrase)))
     return sorted(cand.values(), key=lambda c: (-c.score, c.tokens))[:cfg.k]
+
+
+@pytest.fixture
+def rank_branches(monkeypatch):
+    """Each ``_rank`` call on a non-empty cell as ``(mode, whether the pool
+    fits in t_pool, branch)``: the sort scores every state, the shortcut
+    none."""
+    branches = []
+    scored = [0]
+    value, rank = PhraseScore.value, substituter._rank
+
+    def counting_value(self):
+        scored[0] += 1
+        return value(self)
+
+    def recording_rank(query, states, phrases, lm, config):
+        before = scored[0]
+        cell = rank(query, states, phrases, lm, config)
+        if states:
+            branches.append((config.mode, len(states) <= config.t_pool,
+                             "sort" if scored[0] > before else "shortcut"))
+        return cell
+
+    monkeypatch.setattr(PhraseScore, "value", counting_value)
+    monkeypatch.setattr(substituter, "_rank", recording_rank)
+    return branches
 
 
 @pytest.fixture
@@ -132,7 +160,7 @@ class TestFindBestSub:
 
 
 class TestFindBestSubs:
-    def test_every_cell_matches_full_scan_oracle(self):
+    def test_every_cell_matches_full_scan_oracle(self, rank_branches):
         # The per-sentence sweep must give each span exactly the list the
         # full-scan reference gives it: same floats, same stage-1 cut.
         rng = random.Random(31)
@@ -166,20 +194,32 @@ class TestFindBestSubs:
                     grew += 1
         assert repeats == 40
         assert grew > 0
+        # both pool sizes in every mode; mode B sorts even a pool that fits,
+        # because its rejections may drop docs
+        assert set(rank_branches) == {
+            ("A", True, "shortcut"), ("A", False, "sort"),
+            ("B", True, "sort"), ("B", False, "sort"),
+            ("C", True, "shortcut"), ("C", False, "sort"),
+            ("D", True, "shortcut"), ("D", False, "sort")}
 
-    def test_same_tokens_first_docid_counts(self, toy_setup):
+    def test_same_tokens_first_docid_counts(self, toy_setup, rank_branches):
         # build_index accepts two docs with the same tokens; the lower docid's
-        # LM score is the one both the sweep and the oracle keep
+        # LM score is the one both the sweep and the oracle keep, whether
+        # _rank sorts the pool (mode B) or, with all 7 docs within t_pool,
+        # takes it as retrieved
         lm, docs, _ = toy_setup
         copy = PhraseDoc(len(docs), docs[0].tokens, docs[0].lm_score + 5.0)
         index = build_index(docs + [copy])
         phrase = ("the", "european", "right")
-        cfg = SubstituterConfig(k=5, t_pool=10)
-        cells = find_best_subs(index, lm, {}, phrase, cfg)
-        for (i, j), cell in cells.items():
-            assert cell == oracle_best_sub(docs + [copy], lm, {},
-                                           phrase[i:j + 1], cfg)
-        assert ScoredPhrase(docs[0].tokens, docs[0].lm_score) in cells[(0, 2)]
+        for mode, branch in (("C", "shortcut"), ("B", "sort")):
+            cfg = SubstituterConfig(k=5, t_pool=10, mode=mode)
+            cells = find_best_subs(index, lm, {}, phrase, cfg)
+            for (i, j), cell in cells.items():
+                assert cell == oracle_best_sub(docs + [copy], lm, {},
+                                               phrase[i:j + 1], cfg)
+            assert ScoredPhrase(docs[0].tokens, docs[0].lm_score) in cells[(0, 2)]
+            assert {b for _, _, b in rank_branches} == {branch}
+            rank_branches.clear()
 
     def test_identity_keeps_a_retrieved_docs_stored_score(self):
         # the identity is appended after the pool and top_k keeps the first
