@@ -207,10 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--lexicon", default=None)
     p.add_argument("--algorithm", choices=("dp", "fixed"), default="dp")
-    p.add_argument("--mode", choices=MODES, default="C")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--t-pool", type=int, default=200)
-    p.add_argument("--d-t", type=int, default=3)
+    p.add_argument("--mode", choices=MODES, default=SubstituterConfig.mode)
+    p.add_argument("--k", type=int, default=SubstituterConfig.k)
+    p.add_argument("--t-pool", type=int, default=SubstituterConfig.t_pool)
+    p.add_argument("--d-t", type=int, default=SubstituterConfig.d_t)
     p.add_argument("--phrase-len", type=int, default=7)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_correct)

@@ -80,7 +80,7 @@ def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
 
 
 def correct_fixed(sentence: Sequence[str], lm: LanguageModel,
-                  index: PhraseIndex, phrase_len: int = 7) -> CorrectionResult:
+                  index: PhraseIndex, phrase_len: int) -> CorrectionResult:
     """Fixed-length baseline: split into consecutive phrases of
     ``phrase_len`` words, search each phrase recursively over overlapping
     order-n windows of two-common-word candidates, then keep the rebuilt

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from typing import Iterable
 
 # log10 probability of a word the model has no unigram for
@@ -28,20 +27,16 @@ class ArpaParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class NgramEntry:
-    logprob: float  # log10, <= 0 for trained models
-    backoff: float = 0.0  # log10 backoff weight, 0 when absent
-
-
 class LanguageModel:
     """Immutable n-gram model scored in log10 space with backoff.
 
-    ``tables`` maps each n-gram length to a dict from token tuple to
-    NgramEntry. Unknown unigrams score ``OOV_LOGPROB``.
+    ``tables`` maps each n-gram length to a dict from token tuple to a
+    ``(logprob, backoff)`` pair. Both are log10; the logprob is <= 0 for
+    trained models, and the backoff is 0.0 when the file gives none.
+    Unknown unigrams score ``OOV_LOGPROB``.
     """
 
-    def __init__(self, order: int, tables: dict[int, dict[tuple[str, ...], NgramEntry]]):
+    def __init__(self, order: int, tables: dict[int, dict[tuple[str, ...], tuple[float, float]]]):
         if order < 1:
             raise ValueError("model order must be >= 1")
         self.order = order
@@ -60,12 +55,12 @@ class LanguageModel:
             n = len(gram)
             entry = tables.get(n, {}).get(gram)
             if entry is not None:
-                return penalty + entry.logprob
+                return penalty + entry[0]
             if n == 1:
                 return penalty + OOV_LOGPROB
             ctx = tables.get(n - 1, {}).get(gram[:-1])
             if ctx is not None:
-                penalty += ctx.backoff
+                penalty += ctx[1]
             gram = gram[1:]
 
     def score_sequence(self, tokens: Iterable[str]) -> float:
@@ -103,7 +98,7 @@ def parse_arpa(text) -> LanguageModel:
     entry its second line, a missing section the ``\\end\\`` line.
     """
     declared: dict[int, int] = {}
-    tables: dict[int, dict[tuple[str, ...], NgramEntry]] = {}
+    tables: dict[int, dict[tuple[str, ...], tuple[float, float]]] = {}
     n = None
     line_no = 0
 
@@ -119,7 +114,7 @@ def parse_arpa(text) -> LanguageModel:
                 raise ArpaParseError(f"expected {n}-gram entry, got {line!r}", line_no)
             logprob = _finite(fields[0], "logprob", line_no)
             backoff = _finite(fields[-1], "backoff", line_no) if len(fields) == n + 2 else 0.0
-            gram, entry = tuple(fields[1:n + 1]), NgramEntry(logprob, backoff)
+            gram, entry = tuple(fields[1:n + 1]), (logprob, backoff)
             if table.setdefault(gram, entry) is not entry:
                 raise ArpaParseError(f"repeated {n}-gram {' '.join(gram)!r}", line_no)
         elif n is None or not line:  # before \data\, or a blank line
@@ -165,10 +160,10 @@ def serialize_arpa(lm: LanguageModel) -> str:
     for n in orders:
         out.append(f"\\{n}-grams:")
         for gram in sorted(lm.tables[n]):
-            entry = lm.tables[n][gram]
-            line = f"{entry.logprob!r}\t" + " ".join(gram)
+            logprob, backoff = lm.tables[n][gram]
+            line = f"{logprob!r}\t" + " ".join(gram)
             if n < lm.order:
-                line += f"\t{entry.backoff!r}"
+                line += f"\t{backoff!r}"
             out.append(line)
         out.append("")
     out.append("\\end\\")
@@ -203,7 +198,7 @@ def train_counts(corpus: Iterable[Iterable[str]], order: int) -> LanguageModel:
     # c(h) + T(h) per history h: P(w|h) = c(h,w) / mass[h]
     mass = {h: sum(ctx.values()) + len(ctx) for h, ctx in followers.items()}
 
-    tables: dict[int, dict[tuple[str, ...], NgramEntry]] = {}
+    tables: dict[int, dict[tuple[str, ...], tuple[float, float]]] = {}
     for n in range(1, order + 1):
         table = {}
         for gram, c in counts[n].items():
@@ -214,6 +209,6 @@ def train_counts(corpus: Iterable[Iterable[str]], order: int) -> LanguageModel:
                 lower = gram[1:]
                 seen_lower = sum(counts[n][lower + (w,)] / mass[lower] for w in ctx)
                 backoff = math.log10(held_out / (1.0 - seen_lower))
-            table[gram] = NgramEntry(math.log10(c / mass[gram[:-1]]), backoff)
+            table[gram] = (math.log10(c / mass[gram[:-1]]), backoff)
         tables[n] = table
     return LanguageModel(order, tables)

@@ -215,7 +215,7 @@ def test_metric_suites():
         seen = {g[-1] for g in counts if g[:-1] == h}
         c_h = sum(counts[h + (w,)] for w in seen)
         t_h = len(seen)
-        total = sum(10.0 ** trained.tables[len(h) + 1][h + (w,)].logprob for w in seen)
+        total = sum(10.0 ** trained.tables[len(h) + 1][h + (w,)][0] for w in seen)
         assert abs(total + t_h / (c_h + t_h) - 1.0) < 1e-9
 
     elapsed = time.perf_counter() - start

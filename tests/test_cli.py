@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from phrasefix import load_index, parse_arpa, tokenize, train_counts
+from phrasefix import (SubstituterConfig, cli, correct_dp, load_index, parse_arpa, tokenize,
+                       train_counts)
 from phrasefix.cli import main
 
 from conftest import synth_corpus
@@ -120,6 +121,16 @@ class TestInjectNoise:
                        if b != a]
             assert len(changed) == 1 and changed[0][1] == mate[changed[0][0]]
 
+    def test_wordless_line_gives_blank_line(self, tmp_path):
+        inp, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        inp.write_text("alpha beta gamma\n\n!!!\ngamma beta alpha\n", encoding="utf-8")
+        assert main(["inject-noise", "--in", str(inp), "--seed", "1", "--swaps", "1",
+                     "--deletions", "1", "--substitutions", "1", "--typos", "1",
+                     "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 4 and lines[1] == lines[2] == ""
+        assert lines[0] and lines[3]
+
     def test_zero_ops_round_trips_corpus(self, workspace):
         tmp, corpus, sentences = workspace
         out = tmp / "same.txt"
@@ -162,6 +173,22 @@ class TestCorrect:
         assert len(records) == len(sentences)
         for rec in records:
             assert rec["score_after"] >= rec["score_before"] - 1e-9
+
+    def test_default_options_build_the_default_config(self, workspace, monkeypatch):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        configs = []
+
+        def spy(sentence, index, lm, lexicon, config):
+            configs.append(config)
+            return correct_dp(sentence, index, lm, lexicon, config)
+
+        monkeypatch.setattr(cli, "correct_dp", spy)
+        inp = tmp / "in.txt"
+        write_lines(inp, sentences[:2])
+        assert main(["correct", "--in", str(inp), "--lm", str(arpa), "--index", str(idx),
+                     "--out", str(tmp / "out.jsonl")]) == 0
+        assert configs and all(c == SubstituterConfig() for c in configs)
 
     def test_empty_input_gives_empty_output(self, workspace):
         tmp, corpus, _ = workspace

@@ -163,6 +163,11 @@ class TestInjectNoise:
         out = inject_noise(s, NoiseSpec(seed=1, swap_adjacent=1, delete_word=1))
         assert out == s
 
+    def test_empty_sentence_stays_empty(self):
+        spec = NoiseSpec(seed=0, swap_adjacent=1, delete_word=1, substitute_word=1,
+                         typo_char=1, vocabulary=("zz",))
+        assert inject_noise((), spec) == ()
+
     def test_substitute_prefers_lexicon_mates(self):
         lex = load_lexicon("big large\n")
         s = ("big",)

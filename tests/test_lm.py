@@ -5,7 +5,7 @@ import pytest
 
 from phrasefix import (LanguageModel, corpus_perplexity, parse_arpa, serialize_arpa,
                        tokenize, train_counts)
-from phrasefix.lm import OOV_LOGPROB, ArpaParseError, NgramEntry
+from phrasefix.lm import OOV_LOGPROB, ArpaParseError
 
 from conftest import synth_corpus
 
@@ -49,14 +49,14 @@ class TestParseArpa:
         lm = parse_arpa(UNIFORM_TWO_WORD)
         assert lm.order == 1
         assert len(lm.tables[1]) == 2
-        assert lm.tables[1][("a",)].logprob == pytest.approx(math.log10(0.5))
-        assert lm.tables[1][("b",)].logprob == pytest.approx(math.log10(0.5))
+        assert lm.tables[1][("a",)][0] == pytest.approx(math.log10(0.5))
+        assert lm.tables[1][("b",)][0] == pytest.approx(math.log10(0.5))
 
     def test_missing_backoff_defaults_to_zero(self):
         text = ("\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-0.3\ta\t-0.1\n"
                 "-0.3\tb\t0.0\n\n\\2-grams:\n-0.5\ta b\n\n\\end\\\n")
         lm = parse_arpa(text)
-        assert lm.tables[2][("a", "b")].backoff == 0.0
+        assert lm.tables[2][("a", "b")][1] == 0.0
 
     def test_count_mismatch(self):
         text = ("\\data\\\nngram 1=3\n\n\\1-grams:\n-0.3\ta\n-0.3\tb\n\n\\end\\\n")
@@ -146,7 +146,7 @@ class TestScoring:
         lm = parse_arpa(BACKOFF_TOY)
         for n, table in lm.tables.items():
             for gram, entry in table.items():
-                assert lm.score_word(gram[-1], gram[:-1]) == pytest.approx(entry.logprob)
+                assert lm.score_word(gram[-1], gram[:-1]) == pytest.approx(entry[0])
 
     def test_long_history_truncated(self):
         lm = parse_arpa(BACKOFF_TOY)
@@ -175,7 +175,7 @@ class TestScoring:
     def test_monotone_fallback(self):
         # dropping the stored trigram cannot raise the score: backoff <= 0
         lm = parse_arpa(BACKOFF_TOY)
-        assert lm.tables[2][("a", "b")].backoff <= 0
+        assert lm.tables[2][("a", "b")][1] <= 0
         pruned_tables = {n: dict(t) for n, t in lm.tables.items()}
         del pruned_tables[3][("a", "b", "c")]
         pruned = LanguageModel(lm.order, pruned_tables)
@@ -187,8 +187,8 @@ class TestPerplexity:
     def uniform_bigram_lm(self):
         half = math.log10(0.5)
         tables = {
-            1: {(w,): NgramEntry(half) for w in "ab"},
-            2: {(x, y): NgramEntry(half) for x in "ab" for y in "ab"},
+            1: {(w,): (half, 0.0) for w in "ab"},
+            2: {(x, y): (half, 0.0) for x in "ab" for y in "ab"},
         }
         return LanguageModel(2, tables)
 
@@ -200,10 +200,10 @@ class TestPerplexity:
 
     def test_deterministic_model_gives_one(self):
         tables = {
-            1: {("a",): NgramEntry(math.log10(0.5)),
-                ("b",): NgramEntry(math.log10(0.5))},
-            2: {("a", "b"): NgramEntry(0.0),
-                ("b", "a"): NgramEntry(0.0)},
+            1: {("a",): (math.log10(0.5), 0.0),
+                ("b",): (math.log10(0.5), 0.0)},
+            2: {("a", "b"): (0.0, 0.0),
+                ("b", "a"): (0.0, 0.0)},
         }
         lm = LanguageModel(2, tables)
         assert corpus_perplexity(lm, [("a", "b", "a", "b")]) == pytest.approx(1.0)
@@ -217,8 +217,8 @@ class TestPerplexity:
         # independent arithmetic over explicit conditional probabilities
         probs = {("a", "b"): 0.5, ("b", "a"): 0.25, ("b", "b"): 0.5, ("a", "a"): 0.25}
         tables = {
-            1: {(w,): NgramEntry(math.log10(0.5)) for w in "ab"},
-            2: {g: NgramEntry(math.log10(p)) for g, p in probs.items()},
+            1: {(w,): (math.log10(0.5), 0.0) for w in "ab"},
+            2: {g: (math.log10(p), 0.0) for g, p in probs.items()},
         }
         lm = LanguageModel(2, tables)
         for sent in [("a", "b", "b"), ("b", "a", "a", "b"), ("a", "a", "b", "a")]:
@@ -230,7 +230,7 @@ class TestPerplexity:
 class TestTraining:
     def test_single_sentence_unigrams_symmetric(self):
         lm = train_counts([("a", "b")], 1)
-        assert lm.tables[1][("a",)].logprob == pytest.approx(lm.tables[1][("b",)].logprob)
+        assert lm.tables[1][("a",)][0] == pytest.approx(lm.tables[1][("b",)][0])
 
     def test_empty_corpus_rejected(self):
         for corpus in ([], [()], iter([(), ()])):
@@ -247,7 +247,7 @@ class TestTraining:
         lm = train_counts(synth_corpus(50, seed=3), 3)
         for table in lm.tables.values():
             for entry in table.values():
-                assert entry.logprob <= 0
+                assert entry[0] <= 0
 
     def test_normalization_audit(self):
         # recompute Witten-Bell mass from raw counts, independent of trainer
@@ -266,7 +266,7 @@ class TestTraining:
             c_h = sum(nxt.values())
             t_h = len(nxt)
             seen_mass = sum(
-                10.0 ** lm.tables[len(hist) + 1][hist + (w,)].logprob for w in nxt)
+                10.0 ** lm.tables[len(hist) + 1][hist + (w,)][0] for w in nxt)
             assert seen_mass + t_h / (c_h + t_h) == pytest.approx(1.0, abs=1e-9)
 
     def test_model_mass_never_exceeds_one(self):
@@ -284,6 +284,14 @@ class TestTraining:
             assert lm2.score_sequence(sent) == pytest.approx(
                 lm.score_sequence(sent), abs=1e-9)
 
+
+def test_entries_are_exact_float_pairs():
+    # not a tuple subclass: the collector untracks an exact tuple of floats
+    for lm in (parse_arpa(BACKOFF_TOY), train_counts(synth_corpus(30, seed=4), 3)):
+        for table in lm.tables.values():
+            for entry in table.values():
+                assert type(entry) is tuple and len(entry) == 2
+                assert type(entry[0]) is float and type(entry[1]) is float
 
 
 def test_tokenize_drops_punctuation_and_case():
