@@ -15,7 +15,6 @@ import sys
 
 from . import evaluation, lm as lm_mod, phrase_index
 from .corrector import CorrectionResult, correct_dp, correct_fixed
-from .distance import MODES
 from .lexicon import load_lexicon
 from .substituter import SubstituterConfig
 
@@ -103,8 +102,7 @@ def _usage_error(message) -> int:
 
 def cmd_correct(args) -> int:
     try:
-        config = SubstituterConfig(k=args.k, t_pool=args.t_pool, mode=args.mode,
-                                   d_t=args.d_t)
+        config = SubstituterConfig(k=args.k, t_pool=args.t_pool, d_t=args.d_t)
     except ValueError as exc:
         return _usage_error(exc)
     model = _load(lm_mod.parse_arpa, args.lm)
@@ -207,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--lexicon", default=None)
     p.add_argument("--algorithm", choices=("dp", "fixed"), default="dp")
-    p.add_argument("--mode", choices=MODES, default=SubstituterConfig.mode)
     p.add_argument("--k", type=int, default=SubstituterConfig.k)
     p.add_argument("--t-pool", type=int, default=SubstituterConfig.t_pool)
     p.add_argument("--d-t", type=int, default=SubstituterConfig.d_t)

@@ -4,10 +4,10 @@ once per sentence (``levenshtein`` is one call of it for one pair), and
 ``PhraseScore``, the one kernel for the equally weighted mean of the
 orthographic (f1), synset (f2) and word-order (f3) components.
 
-All components are similarities in [0, 1], higher is better. Word-order
-violations under rigid mode yield None instead of a score.
-Word order is judged on a greedy left-to-right one-to-one alignment of P's
-words onto R's, each pair at Levenshtein distance below ``ALIGN_THRESHOLD``.
+All components are similarities in [0, 1], higher is better, and so is
+their mean. Word order is judged on a greedy left-to-right one-to-one
+alignment of P's words onto R's, each pair at Levenshtein distance below
+``ALIGN_THRESHOLD``.
 
 The stage-1 sweep of ``substituter.find_best_subs`` reads each query
 word's distances from ``word_tables`` and runs ``PhraseScore`` over every
@@ -23,7 +23,6 @@ from itertools import accumulate
 from typing import Collection, Iterable, Sequence
 
 
-MODES = ("A", "B", "C", "D")
 # two aligned words must be at Levenshtein distance below this
 ALIGN_THRESHOLD = 3
 
@@ -124,32 +123,24 @@ def word_term(table: dict[str, tuple[int, float, bool]],
 class PhraseScore:
     """The combined score of one phrase R against a phrase P that grows by
     one word on the right per ``add``. ``value()`` is the equally weighted
-    mean of the components ``mode`` enables, or None: mode A is f1 + f2;
-    B is f1 + f2 gated by rigid word order; C adds the LCS word-order
-    component; D the inversion-pair one.
+    mean of f1, f2 and the LCS word-order component f3.
 
     f1 and f2 are running sums over P's words, taken in P's order. Greedy
     alignment goes left to right, so the alignment for P plus one word
-    extends the one for P. Each word-order component follows the aligned
-    positions of R as they are appended: rigid order holds while each lies
-    right of all before it; the LCS against the sorted positions is their
-    longest increasing subsequence (patience tails); and each one adds the
-    earlier positions right of it as inversions.
+    extends the one for P. f3 follows the aligned positions of R as they
+    are appended: their LCS against the sorted positions is their longest
+    increasing subsequence, whose length the patience tails keep.
     """
 
-    __slots__ = ("mode", "n", "total", "matched", "used", "aligned", "tails",
-                 "inversions", "order")
+    __slots__ = ("n", "total", "matched", "used", "aligned", "tails")
 
-    def __init__(self, mode: str):
-        self.mode = mode
+    def __init__(self):
         self.n = 0
         self.total = 0.0
         self.matched = 0
         self.used = 0  # bit mask of the aligned positions of R
         self.aligned = 0
         self.tails: list[int] = []
-        self.inversions = 0
-        self.order = None if mode == "B" else 0.0
 
     def add(self, term: tuple[float, bool, tuple[int, ...]]):
         """Extend P by the word whose ``word_term`` against R is ``term``."""
@@ -157,39 +148,24 @@ class PhraseScore:
         self.n += 1
         self.total += nearest
         self.matched += mate
-        if self.mode == "A":
-            return
         for pos in reach:
             if not self.used >> pos & 1:
                 break
         else:
             return
-        later = (self.used >> pos).bit_count()
         self.used |= 1 << pos
         self.aligned += 1
-        if self.mode == "B":
-            rigid = not later and (self.aligned == 1 or self.order is not None)
-            self.order = 1.0 if rigid else None
-        elif self.mode == "C":
-            tails = self.tails
-            at = bisect_left(tails, pos)
-            tails[at:at + 1] = [pos]
-            self.order = len(tails) / self.aligned
-        else:
-            self.inversions += later
-            self.order = 1.0 / (1.0 + self.inversions)
+        tails = self.tails
+        at = bisect_left(tails, pos)
+        tails[at:at + 1] = [pos]
 
-    def value(self) -> float | None:
-        """Equally weighted mean of the components, or None."""
+    def value(self) -> float:
+        """Equally weighted mean of the components."""
         # sum() as in the reference mean: from Python 3.12 it rounds
         # differently from chained +, and stage-1 ties sort on the last bit;
         # f1 is in [0, 1] because each word's term d / max(|p|, |r|) is
         f1 = 1.0 - self.total / self.n
         f2 = self.matched / self.n
-        if self.mode == "C" or self.mode == "D":
-            w = 1.0 / 3
-            return sum((w * f1, w * f2, w * self.order))
-        if self.order is None:
-            return None
-        w = 1.0 / 2
-        return sum((w * f1, w * f2))
+        f3 = len(self.tails) / self.aligned if self.aligned else 0.0
+        w = 1.0 / 3
+        return sum((w * f1, w * f2, w * f3))

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .distance import MODES, PhraseScore, word_tables, word_term
+from .distance import PhraseScore, word_tables, word_term
 from .lm import LanguageModel
 from .phrase_index import PhraseIndex
 
@@ -18,22 +18,19 @@ class ScoredPhrase:
     score: float  # log10 LM score
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubstituterConfig:
-    """Keep the k best by LM score of the t_pool best by distance score under
-    ``mode`` (see ``distance.PhraseScore``); query words match at edit
-    distance < d_t."""
+    """Keep the k best by LM score of the t_pool best by distance score (see
+    ``distance.PhraseScore``); query words match at edit distance < d_t.
+    Frozen, so a config stays as ``__post_init__`` checked it."""
 
     k: int = 5
     t_pool: int = 200
-    mode: str = "C"
     d_t: int = 3
 
     def __post_init__(self):
         if not 1 <= self.k <= self.t_pool:
             raise ValueError(f"need 1 <= k <= t_pool, got k={self.k} t_pool={self.t_pool}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.d_t < 1:
             raise ValueError("d_t must be >= 1")
 
@@ -45,9 +42,9 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
     keyed ``(i, j)``.
 
     Stage 1 retrieves the phrase documents that fuzzy-match a word of the
-    span and keeps the t_pool best by combined distance score (rejects
-    dropped); stage 2 re-ranks that pool by LM score. The span itself is
-    seeded into the pool before the final truncation, so no list is empty.
+    span and keeps the t_pool best by combined distance score; stage 2
+    re-ranks that pool by LM score. The span itself is seeded into the pool
+    before the final truncation, so no list is empty.
 
     Each distinct word is retrieved and scored against the words of the
     retrieved docs once. Each start then grows its span one word at a time,
@@ -74,7 +71,7 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
                 state.add(column[d])
             for d in hits[tokens[j]]:
                 if d not in states:
-                    states[d] = state = PhraseScore(config.mode)
+                    states[d] = state = PhraseScore()
                     for t in range(i, j + 1):
                         state.add(terms[tokens[t]][d])
             cells[(i, j)] = _rank(tokens[i:j + 1], states, phrases, lm, config)
@@ -85,20 +82,15 @@ def _rank(query, states, phrases, lm, config):
     """Stage 1 cut to t_pool by distance score, ties by tokens then docid,
     the identity appended last, then stage 2's k best by LM score.
 
-    A pool of at most t_pool states outside mode B loses no doc to the cut
-    or to a rejection, so its scores and their sort are skipped: ``top_k``
-    sees the same docs, and among docs with the same tokens, which are
-    retrieved by the same words and so enter ``states`` together in docid
-    order, the lowest docid still comes first."""
-    if len(states) <= config.t_pool and config.mode != "B":
+    A pool of at most t_pool states loses no doc to the cut, so its scores
+    and their sort are skipped: ``top_k`` sees the same docs, and among docs
+    with the same tokens, which are retrieved by the same words and so enter
+    ``states`` together in docid order, the lowest docid still comes first."""
+    if len(states) <= config.t_pool:
         pool = [phrases[d] for d in states]
     else:
-        scored = []
-        for d, state in states.items():
-            s = state.value()
-            if s is not None:
-                scored.append((-s, phrases[d].tokens, d))
-        scored.sort()
+        scored = sorted((-state.value(), phrases[d].tokens, d)
+                        for d, state in states.items())
         pool = [phrases[d] for _, _, d in scored[:config.t_pool]]
     pool.append(ScoredPhrase(query, lm.score_sequence(query)))
     return top_k(pool, config.k)

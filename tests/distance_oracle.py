@@ -109,15 +109,8 @@ def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str], mode: str,
 
 
 def reference_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
-                    lexicon: dict[str, frozenset[str]], mode: str):
-    """Equally weighted mean of the components ``mode`` enables, or None:
-    mode A is f1 + f2; B is f1 + f2 gated by rigid word order; C adds the
-    LCS word-order component; D the inversion-pair one."""
-    parts = [f1_similarity(p_tokens, r_tokens), f2_synset(p_tokens, r_tokens, lexicon)]
-    if mode == "B":
-        if f3_word_order(p_tokens, r_tokens, "rigid", ALIGN_THRESHOLD) is None:
-            return None
-    elif mode in ("C", "D"):
-        order = "lcs" if mode == "C" else "inversion"
-        parts.append(f3_word_order(p_tokens, r_tokens, order, ALIGN_THRESHOLD))
-    return sum((1.0 / len(parts)) * v for v in parts)
+                    lexicon: dict[str, frozenset[str]]) -> float:
+    """Equally weighted mean of f1, f2 and the LCS word-order component."""
+    parts = (f1_similarity(p_tokens, r_tokens), f2_synset(p_tokens, r_tokens, lexicon),
+             f3_word_order(p_tokens, r_tokens, "lcs", ALIGN_THRESHOLD))
+    return sum((1.0 / 3) * v for v in parts)

@@ -63,9 +63,7 @@ def _random_dp_instance(rng):
     lm = train_counts(corpus, 2)
     index = build_index(extract_phrases(lm, {2}))
     sentence = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 6)))
-    cfg = SubstituterConfig(
-        k=10 ** 9, t_pool=10 ** 9,
-        mode=rng.choice("ABCD"), d_t=rng.randint(1, 2))
+    cfg = SubstituterConfig(k=10 ** 9, t_pool=10 ** 9, d_t=rng.randint(1, 2))
     return sentence, lm, index, cfg
 
 
@@ -82,8 +80,7 @@ def test_dp_matches_exhaustive_oracle():
         oracle = exhaustive_best_score(sentence, index, lm, lex, cfg, cands)
         full = correct_dp(sentence, index, lm, lex, cfg)
         assert full.score_after == pytest.approx(oracle, abs=1e-9)
-        pruned_cfg = SubstituterConfig(k=2, t_pool=cfg.t_pool, mode=cfg.mode,
-                                       d_t=cfg.d_t)
+        pruned_cfg = SubstituterConfig(k=2, t_pool=cfg.t_pool, d_t=cfg.d_t)
         pruned = correct_dp(sentence, index, lm, lex, pruned_cfg)
         assert pruned.score_after <= oracle + 1e-9
         checked += 1
@@ -102,7 +99,7 @@ def noisy_suite(synth_lm, synth_index):
 
 
 def test_never_worse_with_strict_improvement(synth_lm, synth_index, noisy_suite):
-    cfg = SubstituterConfig(k=5, t_pool=200, mode="C")
+    cfg = SubstituterConfig(k=5, t_pool=200)
     lex = {}
     improved = 0
     start = time.perf_counter()
@@ -238,7 +235,7 @@ def test_scaling_smoke():
                       -rng.random() * 20)
             for i in range(50000)]
     index = build_index(docs)
-    cfg = SubstituterConfig(k=5, t_pool=200, mode="C")
+    cfg = SubstituterConfig(k=5, t_pool=200)
     lex = {}
 
     sentence = tuple(rng.choice(vocab) for _ in range(20))

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -156,15 +158,13 @@ class TestCorrect:
 
     def test_dp_records_never_worse(self, workspace):
         tmp, corpus, sentences = workspace
-        for mode in ("A", "B", "C", "D"):
-            records = self.run_pipeline(tmp, corpus, ["--algorithm", "dp", "--k", "3",
-                                                      "--t-pool", "50", "--d-t", "2",
-                                                      "--mode", mode])
-            assert len(records) == len(sentences)
-            for rec in records:
-                assert set(rec) >= {"original", "corrected", "score_before",
-                                    "score_after"}
-                assert rec["score_after"] >= rec["score_before"] - 1e-9
+        records = self.run_pipeline(tmp, corpus, ["--algorithm", "dp", "--k", "3",
+                                                  "--t-pool", "50", "--d-t", "2"])
+        assert len(records) == len(sentences)
+        for rec in records:
+            assert set(rec) >= {"original", "corrected", "score_before",
+                                "score_after"}
+            assert rec["score_after"] >= rec["score_before"] - 1e-9
 
     def test_fixed_records_never_worse(self, workspace):
         tmp, corpus, sentences = workspace
@@ -274,7 +274,7 @@ class TestCorrect:
         ("dp", ["--k", "0"]),
         ("dp", ["--k", "51"]),
         ("dp", ["--d-t", "0"]),
-        ("dp", ["--mode", "E"]),
+        ("dp", ["--mode", "C"]),
         ("fixed", ["--phrase-len", "1"]),
     ])
     def test_bad_option_value_is_usage_error_before_any_record(self, workspace,
@@ -465,6 +465,19 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("usage: phrasefix correct ")
         assert err.endswith("phrasefix correct: error: argument --k: invalid int value: 'q'\n")
+
+    def test_readme_commands_parse(self):
+        # every example in the README's "Command line" block names only
+        # options the parser has, so a removed option cannot stay in the docs
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+        assert sorted(argv[1] for argv in commands) == \
+            ["build-index", "correct", "evaluate", "inject-noise", "train-lm"]
+        parser = cli.build_parser()
+        for argv in commands:
+            assert argv[0] == "phrasefix"
+            parser.parse_args(argv[1:])
 
     def test_tokenize_lowercases_and_strips_punctuation(self):
         assert tokenize("The cat, IS on the mat!") == \

@@ -48,9 +48,7 @@ def random_instance(rng, max_n=6):
               for _ in range(3)]
     lm, docs, index = make_setup(corpus)
     sentence = tuple(rng.choice(vocab) for _ in range(rng.randint(2, max_n)))
-    config = SubstituterConfig(
-        k=UNBOUNDED, t_pool=UNBOUNDED,
-        mode=rng.choice("ABCD"), d_t=rng.randint(1, 2))
+    config = SubstituterConfig(k=UNBOUNDED, t_pool=UNBOUNDED, d_t=rng.randint(1, 2))
     return sentence, lm, index, config
 
 
@@ -187,7 +185,7 @@ class TestCorrectDp:
             lex = {}
             candidates = span_candidates(sentence, index, lm, lex, cfg)
             oracle = exhaustive_best_score(sentence, index, lm, lex, cfg, candidates)
-            pruned = SubstituterConfig(k=2, t_pool=cfg.t_pool, mode=cfg.mode, d_t=cfg.d_t)
+            pruned = SubstituterConfig(k=2, t_pool=cfg.t_pool, d_t=cfg.d_t)
             result = correct_dp(sentence, index, lm, lex, pruned)
             assert result.score_after <= oracle + 1e-9
 

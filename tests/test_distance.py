@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phrasefix import SubstituterConfig, levenshtein, load_lexicon
-from phrasefix.distance import MODES, PhraseScore, edit_distances, word_tables, word_term
+from phrasefix.distance import PhraseScore, edit_distances, word_tables, word_term
 
 from conftest import random_word
 from distance_oracle import (align, count_inversions, f1_similarity, f2_synset,
@@ -199,48 +199,37 @@ class TestComponents:
             assert lcs_length(a, a) == len(a)
 
 
-def pair_score(p, r, lexicon, mode):
+def pair_score(p, r, lexicon):
     """The kernel's score of R against P, from the tables stage 1 builds."""
-    state = PhraseScore(mode)
+    state = PhraseScore()
     for w in p:
         state.add(word_term(word_tables((w,), r, lexicon)[w], r))
     return state.value()
 
 
 class TestCombinedScore:
-    @pytest.mark.parametrize("mode", ["A", "B", "C", "D"])
-    def test_identity_scores_one(self, mode):
+    def test_identity_scores_one(self):
         p = ("the", "trade", "agreement")
-        assert pair_score(p, p, {}, mode) == pytest.approx(1.0)
+        assert pair_score(p, p, {}) == pytest.approx(1.0)
 
-    def test_mode_b_rejects_crossed_permutation(self):
-        p = ("alpha", "beta", "gamma")
-        r = ("gamma", "alpha", "beta")
-        assert pair_score(p, r, {}, "B") is None
-
-    def test_mode_c_hand_weighted_sum(self):
+    def test_hand_weighted_sum(self):
         lex = load_lexicon("beta gamma\n")
         p = ("alpha", "beta", "gamma")
         r = ("alpha", "gamma", "beta")
         f1 = f1_similarity(p, r)
         f2 = f2_synset(p, r, lex)
         expected = (f1 + f2 + 2 / 3) / 3
-        assert pair_score(p, r, lex, "C") == pytest.approx(expected)
+        assert pair_score(p, r, lex) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_exact_equal_weight_mean(self, mode):
+    def test_exact_equal_weight_mean(self):
         # the exact floats, not approx: stage-1 ties are broken on them
-        rng = random.Random(ord(mode))
+        rng = random.Random(67)
         vocab = [random_word(rng, 2, 5) for _ in range(8)]
         lex = load_lexicon(" ".join(vocab[:3]) + "\n" + " ".join(vocab[3:5]) + "\n")
-        rejected = 0
         for _ in range(200):
             p = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
             r = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
-            expected = reference_score(p, r, lex, mode)
-            rejected += expected is None
-            assert pair_score(p, r, lex, mode) == expected
-        assert rejected if mode == "B" else not rejected
+            assert pair_score(p, r, lex) == reference_score(p, r, lex)
 
     def test_value_in_unit_interval(self):
         rng = random.Random(21)
@@ -248,10 +237,9 @@ class TestCombinedScore:
         for _ in range(200):
             p = tuple(random_word(rng, 2, 5) for _ in range(rng.randint(1, 4)))
             r = tuple(random_word(rng, 2, 5) for _ in range(rng.randint(1, 4)))
-            v = pair_score(p, r, lex, rng.choice(MODES))
-            assert v is None or 0.0 <= v <= 1.0 + 1e-12
+            assert 0.0 <= pair_score(p, r, lex) <= 1.0 + 1e-12
 
     def test_invalid_config(self):
-        # the mode is checked where a caller sets it
-        with pytest.raises(ValueError):
-            SubstituterConfig(mode="E")
+        # one similarity: a config takes no mode that would select another
+        with pytest.raises(TypeError):
+            SubstituterConfig(mode="C")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -28,10 +29,7 @@ def oracle_best_sub(docs, lm, lex, phrase, cfg):
         if not any(levenshtein(q, w) < cfg.d_t
                    for q in phrase for w in doc.tokens):
             continue
-        s = reference_score(phrase, doc.tokens, lex, cfg.mode)
-        if s is None:
-            continue
-        pool.append((s, doc))
+        pool.append((reference_score(phrase, doc.tokens, lex), doc))
     pool.sort(key=lambda item: (-item[0], item[1].tokens))
     cand = {}
     for _, d in pool[:cfg.t_pool]:  # of docs with the same tokens the first counts
@@ -42,9 +40,8 @@ def oracle_best_sub(docs, lm, lex, phrase, cfg):
 
 @pytest.fixture
 def rank_branches(monkeypatch):
-    """Each ``_rank`` call on a non-empty cell as ``(mode, whether the pool
-    fits in t_pool, branch)``: the sort scores every state, the shortcut
-    none."""
+    """Each ``_rank`` call on a non-empty cell as ``(whether the pool fits
+    in t_pool, branch)``: the sort scores every state, the shortcut none."""
     branches = []
     scored = [0]
     value, rank = PhraseScore.value, substituter._rank
@@ -57,7 +54,7 @@ def rank_branches(monkeypatch):
         before = scored[0]
         cell = rank(query, states, phrases, lm, config)
         if states:
-            branches.append((config.mode, len(states) <= config.t_pool,
+            branches.append((len(states) <= config.t_pool,
                              "sort" if scored[0] > before else "shortcut"))
         return cell
 
@@ -111,9 +108,7 @@ class TestFindBestSub:
             docs = [PhraseDoc(i, g, lm.score_sequence(g))
                     for i, g in enumerate(sorted({tuple(s) for s in corpus}))]
             index = build_index(docs)
-            cfg = SubstituterConfig(
-                k=5, t_pool=rng.choice([5, 25]),
-                mode=rng.choice("ABCD"), d_t=rng.randint(1, 3))
+            cfg = SubstituterConfig(k=5, t_pool=rng.choice([5, 25]), d_t=rng.randint(1, 3))
             phrase = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
             got = whole_span(index, lm, lex, phrase, cfg)
             assert got == oracle_best_sub(docs, lm, lex, phrase, cfg)
@@ -129,7 +124,7 @@ class TestFindBestSub:
         grams = sorted({tuple(s) for s in corpus})[:25]
         docs = [PhraseDoc(i, g, lm.score_sequence(g)) for i, g in enumerate(grams)]
         index = build_index(docs)
-        cfg = SubstituterConfig(k=5, t_pool=25, mode="C")
+        cfg = SubstituterConfig(k=5, t_pool=25)
         phrase = (vocab[0], vocab[1])
         got = whole_span(index, lm, {}, phrase, cfg)
         assert len(got) == 5
@@ -137,7 +132,7 @@ class TestFindBestSub:
 
     def test_full_t_matches_oracle_exactly(self, toy_setup):
         lm, docs, index = toy_setup
-        cfg = SubstituterConfig(k=4, t_pool=len(docs), mode="A")
+        cfg = SubstituterConfig(k=4, t_pool=len(docs))
         phrase = ("extreme", "right")
         assert whole_span(index, lm, {}, phrase, cfg) == \
             oracle_best_sub(docs, lm, {}, phrase, cfg)
@@ -154,9 +149,16 @@ class TestFindBestSub:
                 assert all(other.score >= cand.score for other in large)
 
     def test_invalid_config(self):
-        for bad in ({"k": 10, "t_pool": 5}, {"k": 0}, {"mode": "E"}, {"d_t": 0}):
+        for bad in ({"k": 10, "t_pool": 5}, {"k": 0}, {"d_t": 0}):
             with pytest.raises(ValueError):
                 SubstituterConfig(**bad)
+
+    def test_config_is_frozen(self):
+        # a checked config cannot be changed into one __post_init__ rejects
+        cfg = SubstituterConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.k = 0
+        assert cfg == SubstituterConfig()
 
 
 class TestFindBestSubs:
@@ -177,7 +179,7 @@ class TestFindBestSubs:
             index = build_index(docs)
             t_pool = rng.choice([1, 3, 8, 50])
             cfg = SubstituterConfig(k=rng.randint(1, min(5, t_pool)), t_pool=t_pool,
-                                    mode="ABCD"[trial % 4], d_t=trial // 4 % 3 + 1)
+                                    d_t=trial % 3 + 1)
             n = rng.randint(2, 7)
             sentence = [rng.choice(vocab + [random_word(rng, 2, 5)]) for _ in range(n)]
             a, b = rng.sample(range(n), 2)
@@ -194,31 +196,26 @@ class TestFindBestSubs:
                     grew += 1
         assert repeats == 40
         assert grew > 0
-        # both pool sizes in every mode; mode B sorts even a pool that fits,
-        # because its rejections may drop docs
-        assert set(rank_branches) == {
-            ("A", True, "shortcut"), ("A", False, "sort"),
-            ("B", True, "sort"), ("B", False, "sort"),
-            ("C", True, "shortcut"), ("C", False, "sort"),
-            ("D", True, "shortcut"), ("D", False, "sort")}
+        # both pool sizes, each on its own branch
+        assert set(rank_branches) == {(True, "shortcut"), (False, "sort")}
 
     def test_same_tokens_first_docid_counts(self, toy_setup, rank_branches):
         # build_index accepts two docs with the same tokens; the lower docid's
         # LM score is the one both the sweep and the oracle keep, whether
-        # _rank sorts the pool (mode B) or, with all 7 docs within t_pool,
-        # takes it as retrieved
+        # _rank takes the pool as retrieved, with all 7 docs within t_pool,
+        # or sorts the whole span's pool of 7 down to t_pool 6
         lm, docs, _ = toy_setup
         copy = PhraseDoc(len(docs), docs[0].tokens, docs[0].lm_score + 5.0)
         index = build_index(docs + [copy])
         phrase = ("the", "european", "right")
-        for mode, branch in (("C", "shortcut"), ("B", "sort")):
-            cfg = SubstituterConfig(k=5, t_pool=10, mode=mode)
+        for t_pool, fits in ((10, True), (6, False)):
+            cfg = SubstituterConfig(k=5, t_pool=t_pool)
             cells = find_best_subs(index, lm, {}, phrase, cfg)
             for (i, j), cell in cells.items():
                 assert cell == oracle_best_sub(docs + [copy], lm, {},
                                                phrase[i:j + 1], cfg)
             assert ScoredPhrase(docs[0].tokens, docs[0].lm_score) in cells[(0, 2)]
-            assert {b for _, _, b in rank_branches} == {branch}
+            assert (fits, "shortcut" if fits else "sort") in rank_branches
             rank_branches.clear()
 
     def test_identity_keeps_a_retrieved_docs_stored_score(self):
