@@ -3,7 +3,6 @@ and the fixed-length recursive baseline."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,13 +37,21 @@ class CorrectionResult:
 
 
 def cross_concat(left: Sequence[ScoredPhrase], right: Sequence[ScoredPhrase],
-                 score_fn: Callable[[tuple[str, ...]], float]) -> list[ScoredPhrase]:
-    """All |left|*|right| concatenations, each rescored as a whole phrase."""
-    out = []
+                 score_fn: Callable[..., float],
+                 out: dict[tuple[str, ...], float] | None = None) -> dict[tuple[str, ...], float]:
+    """Every concatenation of a left and a right candidate that ``out`` (a
+    new dict if none is given) does not hold yet, added to it with its score
+    as a whole phrase. ``score_fn`` is ``LanguageModel.score_sequence`` or
+    a memo of it: a concatenation's score continues its left part's exact
+    score, ``score_fn(tokens, len(a.tokens), score_fn(a.tokens))``."""
+    if out is None:
+        out = {}
     for a in left:
+        head = score_fn(a.tokens)
         for b in right:
             tokens = a.tokens + b.tokens
-            out.append(ScoredPhrase(tokens, score_fn(tokens)))
+            if tokens not in out:
+                out[tokens] = score_fn(tokens, len(a.tokens), head)
     return out
 
 
@@ -52,10 +59,11 @@ def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
                lexicon: dict[str, frozenset[str]], config: SubstituterConfig) -> CorrectionResult:
     """Chart decoding: stage 1's per-span cells combined bottom-up in place.
 
-    Spans longer than one word extend their retrieved candidates, for each
-    split point, with all pairwise concatenations of the two sub-span cells,
-    rescored as whole phrases through an LM cache that lives for this call,
-    and are truncated back to k. The top entry of the full-span cell wins.
+    Spans longer than one word pool their retrieved candidates, keyed by
+    tokens, with the concatenations of the two sub-span cells of each split
+    point that the pool does not hold yet. Each is rescored as a whole
+    phrase through an LM memo that lives for this call, and the pool is
+    truncated back to k. The top entry of the full-span cell wins.
     """
     tokens = tuple(sentence)
     if not tokens:
@@ -63,14 +71,21 @@ def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
     n = len(tokens)
     cells = find_best_subs(index, lm, lexicon, tokens, config)
     stats = {"split_evals": 0, "sub_calls": len(cells)}
-    score = functools.cache(lm.score_sequence)
+    memo: dict[tuple[str, ...], float] = {}
+
+    def score(seq, start=0, total=0.0):
+        got = memo.get(seq)
+        if got is None:
+            got = memo[seq] = lm.score_sequence(seq, start, total)
+        return got
+
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            pool = cells[(i, j)]
+            pool = {c.tokens: c.score for c in cells[(i, j)]}
             for m in range(i, j):
                 stats["split_evals"] += 1
-                pool.extend(cross_concat(cells[(i, m)], cells[(m + 1, j)], score))
+                cross_concat(cells[(i, m)], cells[(m + 1, j)], score, pool)
             cells[(i, j)] = top_k(pool, config.k)
 
     kbest = cells[(0, n - 1)]

@@ -63,15 +63,17 @@ class LanguageModel:
                 penalty += ctx[1]
             gram = gram[1:]
 
-    def score_sequence(self, tokens: Iterable[str]) -> float:
-        """Total log10 probability; no boundary tokens are added."""
+    def score_sequence(self, tokens: Iterable[str], start: int = 0,
+                       total: float = 0.0) -> float:
+        """Total log10 probability; no boundary tokens are added. Given the
+        score ``total`` of ``tokens[:start]``, the words from ``start`` on
+        are added to it left to right, the float the whole sequence scores."""
         seq = tuple(tokens)
-        if not seq:
-            raise ValueError("cannot score an empty sequence")
+        if not 0 <= start < len(seq):
+            raise ValueError(f"start {start} outside a {len(seq)}-word sequence")
         order = self.order
         score_gram = self._score_gram
-        total = 0.0
-        for j in range(1, len(seq) + 1):
+        for j in range(start + 1, len(seq) + 1):
             total += score_gram(seq[j - order if j > order else 0:j])
         return total
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .distance import PhraseScore, word_tables, word_term
 from .lm import LanguageModel
@@ -47,9 +47,12 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
     before the final truncation, so no list is empty.
 
     Each distinct word is retrieved and scored against the words of the
-    retrieved docs once. Each start then grows its span one word at a time,
-    carrying one ``PhraseScore`` per retrieved doc, so a span's distance
-    scores cost one ``add`` per doc instead of a rescan of the span.
+    retrieved docs once. Stage 2 ranks their distinct token tuples once, by
+    ``(-lm_score, tokens)`` with the score of the lowest docid; a doc's
+    place is its tuple's rank. Each start then grows its span one word at a
+    time. It holds docids only until its span has more than t_pool docs;
+    from then on it carries one ``PhraseScore`` per doc, folded from the
+    start, so a span's distance scores cost one ``add`` per doc.
     """
     tokens = tuple(sentence)
     if not tokens:
@@ -61,50 +64,64 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
     vocabulary = {r for d in retrieved for r in docs[d].tokens}
     terms = {w: {d: word_term(table, docs[d].tokens) for d in retrieved}
              for w, table in word_tables(hits, vocabulary, lexicon).items()}
-    phrases = {d: ScoredPhrase(docs[d].tokens, docs[d].lm_score) for d in retrieved}
+    lowest: dict[tuple[str, ...], float] = {}
+    for d in sorted(retrieved):
+        lowest.setdefault(docs[d].tokens, docs[d].lm_score)
+    ranked = sorted(lowest.items(), key=lambda item: (-item[1], item[0]))
+    where = {phrase: place for place, (phrase, _) in enumerate(ranked)}
+    places = {d: where[docs[d].tokens] for d in retrieved}
     cells = {}
     for i in range(n):
-        states: dict[int, PhraseScore] = {}
+        states: dict[int, PhraseScore | None] = {}
         for j in range(i, n):
-            column = terms[tokens[j]]
-            for d, state in states.items():
-                state.add(column[d])
             for d in hits[tokens[j]]:
-                if d not in states:
-                    states[d] = state = PhraseScore()
-                    for t in range(i, j + 1):
-                        state.add(terms[tokens[t]][d])
-            cells[(i, j)] = _rank(tokens[i:j + 1], states, phrases, lm, config)
+                states.setdefault(d, None)
+            if len(states) > config.t_pool:
+                column = terms[tokens[j]]
+                for d, state in states.items():
+                    if state is None:
+                        states[d] = state = PhraseScore()
+                        for t in range(i, j):
+                            state.add(terms[tokens[t]][d])
+                    state.add(column[d])
+            cells[(i, j)] = _rank(tokens[i:j + 1], states, places, ranked, where, lm, config)
     return cells
 
 
-def _rank(query, states, phrases, lm, config):
-    """Stage 1 cut to t_pool by distance score, ties by tokens then docid,
-    the identity appended last, then stage 2's k best by LM score.
+def _rank(query, states, places, ranked, where, lm, config):
+    """Stage 1's cut to t_pool by distance score, ties by tokens then docid,
+    then stage 2's k best places, with the identity seeded in.
 
-    A pool of at most t_pool states loses no doc to the cut, so its scores
-    and their sort are skipped: ``top_k`` sees the same docs, and among docs
-    with the same tokens, which are retrieved by the same words and so enter
-    ``states`` together in docid order, the lowest docid still comes first."""
-    if len(states) <= config.t_pool:
-        pool = [phrases[d] for d in states]
+    A pool within t_pool is not cut and holds no scores. Otherwise every doc
+    above the t_pool-th largest score is kept, and the slots left go to the
+    docs at that score in ``(tokens, docid)`` order. Docs with equal tokens
+    share the place of their lowest docid, which is in every pool that holds
+    one of them: the same words retrieve them, they score the same, and the
+    cut keeps lower docids first. The identity takes its LM score unless its
+    tokens are in the pool."""
+    t_pool = config.t_pool
+    if len(states) <= t_pool:
+        kept = {places[d] for d in states}
     else:
-        scored = sorted((-state.value(), phrases[d].tokens, d)
-                        for d, state in states.items())
-        pool = [phrases[d] for _, _, d in scored[:config.t_pool]]
-    pool.append(ScoredPhrase(query, lm.score_sequence(query)))
-    return top_k(pool, config.k)
+        values = {d: state.value() for d, state in states.items()}
+        cut = sorted(values.values(), reverse=True)[t_pool - 1]
+        above = [d for d, v in values.items() if v > cut]
+        tied = sorted((ranked[places[d]][0], d) for d, v in values.items() if v == cut)
+        kept = {places[d] for d in above}
+        kept.update(places[d] for _, d in tied[:t_pool - len(above)])
+    scores = dict(ranked[place] for place in sorted(kept)[:config.k])
+    if where.get(query) not in kept:
+        scores[query] = lm.score_sequence(query)
+    return top_k(scores, config.k)
 
 
-def top_k(candidates: Iterable[ScoredPhrase], k: int) -> list[ScoredPhrase]:
-    """The k best candidates by descending score, ties broken by tokens.
-    Of candidates with the same tokens only the first one counts; callers
-    rely on this order (``_rank`` appends the identity after the pool, so a
-    doc with the query's tokens keeps its stored score)."""
-    unique: dict[tuple[str, ...], ScoredPhrase] = {}
-    for cand in candidates:
-        unique.setdefault(cand.tokens, cand)
-    return sorted(unique.values(), key=lambda c: (-c.score, c.tokens))[:k]
+def top_k(scores: dict[tuple[str, ...], float], k: int) -> list[ScoredPhrase]:
+    """The k best of a tokens -> score map by descending score, ties broken
+    by tokens, as ``ScoredPhrase``s. A map holds one score per token tuple:
+    callers enter the one that counts first (``_rank`` and ``correct_dp``
+    enter the pool before the identity and the concatenations)."""
+    best = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+    return [ScoredPhrase(phrase, score) for phrase, score in best]
 
 
 def find_k_best_common(index: PhraseIndex,

@@ -99,6 +99,26 @@ class TestCombine:
         assert out[0].score != pytest.approx(left[0].score + right[0].score)
 
 
+    def test_into_a_pool_adds_only_new_tuples(self, lm):
+        calls = []
+
+        def score(tokens, start=0, total=0.0):
+            calls.append((tokens, start))
+            return lm.score_sequence(tokens, start, total)
+
+        left = [ScoredPhrase(("a",), -1.0), ScoredPhrase(("b",), -1.0)]
+        right = [ScoredPhrase(("c",), -1.0), ScoredPhrase(("d", "a"), -1.0)]
+        pool = {("a", "c"): 0.5, ("d",): -2.0}
+        assert cross_concat(left, right, score, pool) is pool
+        # the pool's entry for ("a", "c") stays, the new tuples follow it, and
+        # each is its left part's score continued, the float of the whole
+        assert list(pool.items()) == [
+            (("a", "c"), 0.5), (("d",), -2.0),
+            *((t, lm.score_sequence(t)) for t in [("a", "d", "a"), ("b", "c"), ("b", "d", "a")])]
+        assert [c for c in calls if c[1]] == [
+            (("a", "d", "a"), 1), (("b", "c"), 1), (("b", "d", "a"), 1)]
+
+
 class TestCorrectDp:
     def test_identity_fixpoint(self):
         # the only index doc is the sentence itself, so every cell's best

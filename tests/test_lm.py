@@ -7,7 +7,7 @@ from phrasefix import (LanguageModel, corpus_perplexity, parse_arpa, serialize_a
                        tokenize, train_counts)
 from phrasefix.lm import OOV_LOGPROB, ArpaParseError
 
-from conftest import synth_corpus
+from conftest import random_word, synth_corpus
 
 UNIFORM_TWO_WORD = """\
 \\data\\
@@ -171,6 +171,34 @@ class TestScoring:
         lm = parse_arpa(UNIFORM_TWO_WORD)
         with pytest.raises(ValueError):
             lm.score_sequence(())
+
+    def test_continued_score_is_bit_identical(self):
+        # correct_dp scores a concatenation by continuing its left part's
+        # score, so every split must give the very float of the whole
+        rng = random.Random(23)
+        toy = parse_arpa(BACKOFF_TOY)
+        assert toy.score_word("d", ("a", "b")) == pytest.approx(-0.1 - 0.4)  # backs off
+        cases = [(toy, ("a", "b", "d", "b", "c", "oov", "a", "b", "c"))]
+        for order in (1, 2, 3, 4):
+            vocab = [random_word(rng, 2, 4) for _ in range(6)]
+            corpus = [tuple(rng.choice(vocab) for _ in range(rng.randint(2, 8)))
+                      for _ in range(20)]
+            lm = train_counts(corpus, order)
+            words = vocab + ["<oov>"]
+            cases += [(lm, tuple(rng.choice(words) for _ in range(rng.randint(2, 9))))
+                      for _ in range(40)]
+        cases += [(toy, tuple(rng.choice("abcde") for _ in range(rng.randint(2, 9))))
+                  for _ in range(40)]
+        for lm, seq in cases:
+            whole = lm.score_sequence(seq)
+            for start in range(1, len(seq)):
+                assert lm.score_sequence(seq, start, lm.score_sequence(seq[:start])) == whole
+
+    @pytest.mark.parametrize("start", [-1, 3, 4])
+    def test_start_outside_sequence_rejected(self, start):
+        lm = parse_arpa(BACKOFF_TOY)
+        with pytest.raises(ValueError, match="outside"):
+            lm.score_sequence(("a", "b", "c"), start, -1.0)
 
     def test_monotone_fallback(self):
         # dropping the stored trigram cannot raise the score: backoff <= 0

@@ -50,9 +50,9 @@ def rank_branches(monkeypatch):
         scored[0] += 1
         return value(self)
 
-    def recording_rank(query, states, phrases, lm, config):
+    def recording_rank(query, states, places, ranked, where, lm, config):
         before = scored[0]
-        cell = rank(query, states, phrases, lm, config)
+        cell = rank(query, states, places, ranked, where, lm, config)
         if states:
             branches.append((len(states) <= config.t_pool,
                              "sort" if scored[0] > before else "shortcut"))
@@ -218,6 +218,56 @@ class TestFindBestSubs:
             assert (fits, "shortcut" if fits else "sort") in rank_branches
             rank_branches.clear()
 
+    def test_tie_group_straddles_the_cut(self, rank_branches):
+        # every one-letter change of "abc" scores the same against it; the
+        # cut falls inside that tie group and between twins of "abe", whose
+        # higher docids score better by LM, so only the lowest docid's score
+        # may count. "abc" itself scores above them, "abg" ties with them.
+        words = ["abe", "abd", "abf", "abe", "abc", "abe"]
+        stored = [-3.0, -2.0, -0.5, -0.1, -1.0, 0.0]
+        docs = [PhraseDoc(i, (w,), s) for i, (w, s) in enumerate(zip(words, stored))]
+        index = build_index(docs)
+        lm = train_counts([("abc", "abd")], 1)
+        for phrase in (("abc",), ("abg",)):
+            for t_pool in range(1, 7):
+                cfg = SubstituterConfig(k=min(5, t_pool), t_pool=t_pool)
+                assert whole_span(index, lm, {}, phrase, cfg) == \
+                    oracle_best_sub(docs, lm, {}, phrase, cfg)
+        cfg = SubstituterConfig(k=3, t_pool=3)
+        assert whole_span(index, lm, {}, ("abc",), cfg) == [
+            ScoredPhrase(("abc",), -1.0), ScoredPhrase(("abd",), -2.0),
+            ScoredPhrase(("abe",), -3.0)]
+        assert (False, "sort") in rank_branches
+
+    def test_states_are_scored_only_past_t_pool(self, toy_setup, monkeypatch,
+                                                rank_branches):
+        # each PhraseScore made, as the number of cells ranked before it
+        made = []
+
+        class Counting(PhraseScore):
+            def __init__(self):
+                super().__init__()
+                made.append(len(rank_branches))
+
+        monkeypatch.setattr(substituter, "PhraseScore", Counting)
+        lm, docs, index = toy_setup
+        # at d_t 1 a word retrieves the docs that hold it: the spans of
+        # (0, 0) .. (2, 2) hold docs {2}, {2, 3}, {1, 2, 3}, {3}, {1, 3}, {1}
+        sentence = ("union", "terrorism", "strong")
+        cells = find_best_subs(index, lm, {}, sentence, SubstituterConfig(k=2, t_pool=3, d_t=1))
+        assert made == []
+        assert set(rank_branches) == {(True, "shortcut")}
+        rank_branches.clear()
+        cfg = SubstituterConfig(k=2, t_pool=2, d_t=1)
+        lazy = find_best_subs(index, lm, {}, sentence, cfg)
+        # only the full span, the third cell ranked, exceeds t_pool 2
+        assert made == [2, 2, 2]
+        assert rank_branches == [(True, "shortcut")] * 2 + [(False, "sort")] + \
+            [(True, "shortcut")] * 3
+        for (i, j), cell in lazy.items():
+            assert cell == oracle_best_sub(docs, lm, {}, sentence[i:j + 1], cfg)
+        assert cells[(0, 1)] == lazy[(0, 1)]
+
     def test_identity_keeps_a_retrieved_docs_stored_score(self):
         # the identity is appended after the pool and top_k keeps the first
         # of equal token tuples, so the doc's stored 0.0 beats the LM's -1.301
@@ -228,6 +278,17 @@ class TestFindBestSubs:
         cfg = SubstituterConfig(k=5, t_pool=10)
         cell = find_best_subs(index, lm, {}, ("a", "b"), cfg)[(0, 1)]
         assert [c for c in cell if c.tokens == ("a", "b")] == [ScoredPhrase(("a", "b"), 0.0)]
+
+    def test_identity_outranked_in_the_pool_stays_out(self):
+        # the doc "q" holds the span's tokens with a stored -5.0, below "x";
+        # the LM's -0.301 for the identity would rank first, but the first
+        # entry for a token tuple counts, so "q" stays out of the 1 best
+        lm = parse_arpa("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.301 q\n-0.301 x\n\n\\end\\\n")
+        index = build_index([PhraseDoc(0, ("x",), -0.5), PhraseDoc(1, ("q",), -5.0)])
+        cfg = SubstituterConfig(k=1, t_pool=10)
+        assert whole_span(index, lm, {}, ("q",), cfg) == [ScoredPhrase(("x",), -0.5)]
+        assert whole_span(index, lm, {}, ("q",), cfg) == \
+            oracle_best_sub(index.docs, lm, {}, ("q",), cfg)
 
     def test_empty_sentence_rejected(self, toy_setup):
         lm, docs, index = toy_setup
