@@ -1,30 +1,33 @@
 """Word- and phrase-level similarity: ``edit_distances``, the one
 edit-distance kernel, which retrieval calls once per query word and stage 1
-once per sentence (``levenshtein`` is one call of it for one pair), and
-``PhraseScore``, the one kernel for the equally weighted mean of the
-orthographic (f1), synset (f2) and word-order (f3) components.
+once per sentence (``levenshtein`` is one call of it for one pair), and the
+one kernel for the equally weighted mean of the orthographic (f1), synset
+(f2) and word-order (f3) components of a phrase P against phrases R.
 
 All components are similarities in [0, 1], higher is better, and so is
 their mean. Word order is judged on a greedy left-to-right one-to-one
 alignment of P's words onto R's, each pair at Levenshtein distance below
 ``ALIGN_THRESHOLD``.
 
-The stage-1 sweep of ``substituter.find_best_subs`` reads each query
-word's distances from ``word_tables`` and runs ``PhraseScore`` over every
-span of a sentence. ``tests/distance_oracle.py`` computes the edit
-distance and each component independently of the kernels as their
-references, and ``reference_score`` there their mean.
-"""
+The kernel works in columns over a list of phrases R, one slot each:
+``word_columns`` gives each word of P its column, and ``SpanScores`` folds
+P's columns. Stage 1 (``substituter.find_best_subs``) runs one per start of
+a sentence over its retrieved docs. ``tests/distance_oracle.py`` holds the
+references for the edit distance, each component and (``reference_score``)
+their mean."""
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
+from operator import add
 from typing import Collection, Iterable, Sequence
 
 
 # two aligned words must be at Levenshtein distance below this
 ALIGN_THRESHOLD = 3
+
+Column = tuple[list[float], set[int], dict[int, list[tuple[int, int]]]]
 
 
 def edit_distances(words: Iterable[str],
@@ -82,90 +85,90 @@ def levenshtein(a: str, b: str) -> int:
     return edit_distances((a,), (b,))[0][0]
 
 
-def word_tables(words: Collection[str], vocabulary: Collection[str],
-                lexicon: dict[str, frozenset[str]]
-                ) -> dict[str, dict[str, tuple[int, float, bool]]]:
-    """For each of ``words``, its table of Levenshtein distance, normalized
-    distance and synset match against each word of ``vocabulary``, from one
-    ``edit_distances`` call that packs the vocabulary once. A word matches
-    its ``lexicon`` mates and itself, even with an empty lexicon, so an
-    unchanged word is never penalized as unmatched."""
-    vocabulary = tuple(vocabulary)
-    tables = {}
+def word_columns(words: Collection[str], phrases: Sequence[Sequence[str]],
+                 lexicon: dict[str, frozenset[str]]) -> dict[str, Column]:
+    """For each of ``words``, its ``Column`` over ``phrases``, from one
+    ``edit_distances`` call that packs their distinct words once: every
+    slot's least normalized distance ``d / max(|p|, |r|)`` to a word of its
+    phrase; the slots whose phrase holds the word itself or a ``lexicon``
+    mate (so even an empty lexicon matches a word to itself); and, for each
+    slot whose phrase has words within ``ALIGN_THRESHOLD``, their
+    ``(distance, position)`` pairs, nearest first and leftmost among equals.
+    """
+    holders: dict[str, list[int]] = {}  # each word to the slots that hold it
+    for slot, phrase in enumerate(phrases):
+        for r in phrase:
+            holders.setdefault(r, []).append(slot)
+    vocabulary = tuple(holders)
+    lengths = [len(r) for r in vocabulary]
+    columns = {}
     for word, row in zip(words, edit_distances(words, vocabulary)):
-        mates = lexicon.get(word, ())
         n = len(word)
-        tables[word] = {r: (d, d / max(n, len(r)), r == word or r in mates)
-                        for r, d in zip(vocabulary, row)}
-    return tables
+        norm = {r: d / (n if n > m else m) for r, d, m in zip(vocabulary, row, lengths)}
+        nearest = [min(map(norm.__getitem__, phrase)) for phrase in phrases]
+        mates = {slot for r in {word, *lexicon.get(word, ())} for slot in holders.get(r, ())}
+        close = {r: d for r, d in zip(vocabulary, row) if d < ALIGN_THRESHOLD}
+        reaches = {slot: sorted([(close[r], pos) for pos, r in enumerate(phrases[slot])
+                                 if r in close])
+                   for slot in {slot for r in close for slot in holders[r]}}
+        columns[word] = nearest, mates, reaches
+    return columns
 
 
-def word_term(table: dict[str, tuple[int, float, bool]],
-              r_tokens: Sequence[str]) -> tuple[float, bool, tuple[int, ...]]:
-    """What one word of P contributes against R, read from its table of
-    ``word_tables``: its least normalized distance to a word of R, whether R
-    holds a synset-mate, and the positions of R it may align to, nearest
-    first and leftmost among equals."""
-    nearest = None
-    mate = False
-    reach = []
-    for pos, r in enumerate(r_tokens):
-        d, norm, syn = table[r]
-        if nearest is None or norm < nearest:
-            nearest = norm
-        mate = mate or syn
-        if d < ALIGN_THRESHOLD:
-            reach.append((d, pos))
-    reach.sort()
-    return nearest, mate, tuple(pos for _, pos in reach)
+class SpanScores:
+    """The scores of a phrase P, which grows by one word on the right per
+    ``fold``, against each slot of its columns: the equally weighted mean of
+    f1, f2 and the LCS word-order component f3.
 
-
-class PhraseScore:
-    """The combined score of one phrase R against a phrase P that grows by
-    one word on the right per ``add``. ``value()`` is the equally weighted
-    mean of f1, f2 and the LCS word-order component f3.
-
-    f1 and f2 are running sums over P's words, taken in P's order. Greedy
-    alignment goes left to right, so the alignment for P plus one word
-    extends the one for P. f3 follows the aligned positions of R as they
-    are appended: their LCS against the sorted positions is their longest
-    increasing subsequence, whose length the patience tails keep.
+    f1 and f2 are running sums over P's words, in P's order. The greedy
+    alignment for P plus one word extends the one for P, at the word's
+    reach. f3 follows the aligned positions of R as they are appended: their
+    LCS against the sorted positions is their longest increasing
+    subsequence, whose length the patience tails keep.
     """
 
-    __slots__ = ("n", "total", "matched", "used", "aligned", "tails")
+    __slots__ = ("n", "totals", "matched", "used", "tails", "order")
 
-    def __init__(self):
+    def __init__(self, size: int):
         self.n = 0
-        self.total = 0.0
-        self.matched = 0
-        self.used = 0  # bit mask of the aligned positions of R
-        self.aligned = 0
-        self.tails: list[int] = []
+        self.totals = [0.0] * size
+        self.matched = [0] * size
+        self.used = [0] * size  # bit mask of each slot's aligned positions
+        self.tails: dict[int, list[int]] = {}  # only for slots that aligned
+        self.order = [0.0] * size  # each slot's share of f3
 
-    def add(self, term: tuple[float, bool, tuple[int, ...]]):
-        """Extend P by the word whose ``word_term`` against R is ``term``."""
-        nearest, mate, reach = term
+    def fold(self, column: Column):
+        """Extend P by the word of ``column`` (see ``word_columns``)."""
+        nearest, mates, reaches = column
         self.n += 1
-        self.total += nearest
-        self.matched += mate
-        for pos in reach:
-            if not self.used >> pos & 1:
-                break
-        else:
-            return
-        self.used |= 1 << pos
-        self.aligned += 1
-        tails = self.tails
-        at = bisect_left(tails, pos)
-        tails[at:at + 1] = [pos]
+        self.totals = list(map(add, self.totals, nearest))
+        matched, used, tails, order = self.matched, self.used, self.tails, self.order
+        for slot in mates:
+            matched[slot] += 1
+        w = 1.0 / 3
+        for slot, reach in reaches.items():
+            mask = used[slot]
+            for _, pos in reach:
+                if not mask >> pos & 1:
+                    break
+            else:
+                continue
+            used[slot] = mask = mask | 1 << pos
+            line = tails.get(slot)
+            if line is None:
+                tails[slot] = line = [pos]
+            else:
+                at = bisect_left(line, pos)
+                line[at:at + 1] = [pos]
+            order[slot] = w * (len(line) / mask.bit_count())
 
-    def value(self) -> float:
-        """Equally weighted mean of the components."""
+    def values(self, slots: Iterable[int]) -> list[float]:
+        """The combined score of each of ``slots``, in their order."""
         # sum() as in the reference mean: from Python 3.12 it rounds
         # differently from chained +, and stage-1 ties sort on the last bit;
         # f1 is in [0, 1] because each word's term d / max(|p|, |r|) is
-        f1 = 1.0 - self.total / self.n
-        f2 = self.matched / self.n
-        f3 = len(self.tails) / self.aligned if self.aligned else 0.0
-        w = 1.0 / 3
-        return sum((w * f1, w * f2, w * f3))
+        n, w = self.n, 1.0 / 3
+        totals, matched, order = self.totals, self.matched, self.order
+        shares = [w * (m / n) for m in range(n + 1)]  # f2's share per count
+        return [sum((w * (1.0 - totals[slot] / n), shares[matched[slot]], order[slot]))
+                for slot in slots]

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .distance import PhraseScore, word_tables, word_term
+from .distance import SpanScores, word_columns
 from .lm import LanguageModel
 from .phrase_index import PhraseIndex
 
@@ -21,7 +21,7 @@ class ScoredPhrase:
 @dataclass(frozen=True)
 class SubstituterConfig:
     """Keep the k best by LM score of the t_pool best by distance score (see
-    ``distance.PhraseScore``); query words match at edit distance < d_t.
+    ``distance.SpanScores``); query words match at edit distance < d_t.
     Frozen, so a config stays as ``__post_init__`` checked it."""
 
     k: int = 5
@@ -46,69 +46,65 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
     re-ranks that pool by LM score. The span itself is seeded into the pool
     before the final truncation, so no list is empty.
 
-    Each distinct word is retrieved and scored against the words of the
-    retrieved docs once. Stage 2 ranks their distinct token tuples once, by
-    ``(-lm_score, tokens)`` with the score of the lowest docid; a doc's
-    place is its tuple's rank. Each start then grows its span one word at a
-    time. It holds docids only until its span has more than t_pool docs;
-    from then on it carries one ``PhraseScore`` per doc, folded from the
-    start, so a span's distance scores cost one ``add`` per doc.
+    Each distinct word is retrieved once and gets one column, a slot per
+    retrieved doc in docid order. Stage 2 ranks the docs' distinct token
+    tuples once, by ``(-lm_score, tokens)`` with the lowest docid's score; a
+    doc's place is its tuple's rank. Each start grows its span one word at a
+    time. Once the span has more than t_pool docs, it folds their columns
+    into a ``SpanScores``, and one ``values`` pass scores each cell's pool.
     """
     tokens = tuple(sentence)
     if not tokens:
         raise ValueError("empty sentence")
-    n = len(tokens)
     docs = index.docs
     hits = {w: index.retrieve(w, config.d_t) for w in set(tokens)}
-    retrieved = set().union(*hits.values())
-    vocabulary = {r for d in retrieved for r in docs[d].tokens}
-    terms = {w: {d: word_term(table, docs[d].tokens) for d in retrieved}
-             for w, table in word_tables(hits, vocabulary, lexicon).items()}
-    lowest: dict[tuple[str, ...], float] = {}
-    for d in sorted(retrieved):
-        lowest.setdefault(docs[d].tokens, docs[d].lm_score)
+    retrieved = sorted(set().union(*hits.values()))
+    slot_of = {d: slot for slot, d in enumerate(retrieved)}
+    hits = {w: [slot_of[d] for d in found] for w, found in hits.items()}
+    phrases = [docs[d].tokens for d in retrieved]
+    columns = word_columns(hits, phrases, lexicon)
+    # the score of a tuple's lowest docid, which comes last
+    lowest = {docs[d].tokens: docs[d].lm_score for d in reversed(retrieved)}
     ranked = sorted(lowest.items(), key=lambda item: (-item[1], item[0]))
     where = {phrase: place for place, (phrase, _) in enumerate(ranked)}
-    places = {d: where[docs[d].tokens] for d in retrieved}
+    places = [where[phrase] for phrase in phrases]
     cells = {}
-    for i in range(n):
-        states: dict[int, PhraseScore | None] = {}
-        for j in range(i, n):
-            for d in hits[tokens[j]]:
-                states.setdefault(d, None)
-            if len(states) > config.t_pool:
-                column = terms[tokens[j]]
-                for d, state in states.items():
-                    if state is None:
-                        states[d] = state = PhraseScore()
-                        for t in range(i, j):
-                            state.add(terms[tokens[t]][d])
-                    state.add(column[d])
-            cells[(i, j)] = _rank(tokens[i:j + 1], states, places, ranked, where, lm, config)
+    for i in range(len(tokens)):
+        pool: set[int] = set()
+        scores = SpanScores(len(phrases))
+        for j in range(i, len(tokens)):
+            pool.update(hits[tokens[j]])
+            values = None
+            if len(pool) > config.t_pool:
+                while scores.n <= j - i:  # the words of the span not folded yet
+                    scores.fold(columns[tokens[i + scores.n]])
+                values = scores.values(pool)
+            cells[(i, j)] = _rank(tokens[i:j + 1], pool, values, phrases, places, ranked,
+                                  where, lm, config)
     return cells
 
 
-def _rank(query, states, places, ranked, where, lm, config):
-    """Stage 1's cut to t_pool by distance score, ties by tokens then docid,
-    then stage 2's k best places, with the identity seeded in.
+def _rank(query, pool, values, phrases, places, ranked, where, lm, config):
+    """Stage 1's cut to t_pool by distance score, ties by tokens, then
+    stage 2's k best places, with the identity seeded in.
 
-    A pool within t_pool is not cut and holds no scores. Otherwise every doc
-    above the t_pool-th largest score is kept, and the slots left go to the
-    docs at that score in ``(tokens, docid)`` order. Docs with equal tokens
-    share the place of their lowest docid, which is in every pool that holds
-    one of them: the same words retrieve them, they score the same, and the
-    cut keeps lower docids first. The identity takes its LM score unless its
-    tokens are in the pool."""
+    A pool within t_pool is not cut, and ``values`` is None. Otherwise it
+    holds each slot's score in ``pool``'s order: all slots above the
+    t_pool-th largest are kept, then those at it in tokens order. Docs with
+    equal tokens share the place of their lowest docid, so it does not
+    matter which of them a cut keeps; that doc is in every pool that holds
+    one of them, because the same words retrieve them. The identity takes
+    its LM score unless its tokens are in the pool."""
     t_pool = config.t_pool
-    if len(states) <= t_pool:
-        kept = {places[d] for d in states}
+    if values is None:
+        kept = set(map(places.__getitem__, pool))
     else:
-        values = {d: state.value() for d, state in states.items()}
-        cut = sorted(values.values(), reverse=True)[t_pool - 1]
-        above = [d for d, v in values.items() if v > cut]
-        tied = sorted((ranked[places[d]][0], d) for d, v in values.items() if v == cut)
-        kept = {places[d] for d in above}
-        kept.update(places[d] for _, d in tied[:t_pool - len(above)])
+        cut = sorted(values, reverse=True)[t_pool - 1]
+        above = [slot for slot, v in zip(pool, values) if v > cut]
+        tied = sorted([slot for slot, v in zip(pool, values) if v == cut],
+                      key=phrases.__getitem__)
+        kept = set(map(places.__getitem__, above))
+        kept.update(map(places.__getitem__, tied[:t_pool - len(above)]))
     scores = dict(ranked[place] for place in sorted(kept)[:config.k])
     if where.get(query) not in kept:
         scores[query] = lm.score_sequence(query)

@@ -1,8 +1,9 @@
-"""Independent references for the similarity kernel of ``phrasefix.distance``:
-the textbook edit-distance DP, greedy alignment and each component computed
-straight from its definition, with no shared state, and ``reference_score``,
-their equally weighted mean, so that tests can compare ``levenshtein`` and
-``PhraseScore`` against them."""
+"""Independent references for the kernels of ``phrasefix.distance``: the
+textbook edit-distance DP, greedy alignment and each component computed
+straight from its definition, one phrase pair at a time with no shared
+state, and ``reference_score``, their equally weighted mean, so that tests
+can compare ``edit_distances`` and the column kernel (``word_columns`` and
+``SpanScores``) against them."""
 
 from typing import Sequence
 

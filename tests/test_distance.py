@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from phrasefix import SubstituterConfig, levenshtein, load_lexicon
-from phrasefix.distance import PhraseScore, edit_distances, word_tables, word_term
+from phrasefix.distance import ALIGN_THRESHOLD, SpanScores, edit_distances, word_columns
 
 from conftest import random_word
 from distance_oracle import (align, count_inversions, f1_similarity, f2_synset,
@@ -87,21 +87,32 @@ class TestEditDistances:
     def test_equals_reference_property(self, words, others):
         assert edit_distances(words, others) == self.reference_rows(words, others)
 
-    def test_word_tables_equal_pairwise_entries(self):
+    def test_word_columns_equal_pairwise_entries(self):
         rng = random.Random(37)
-        vocabulary = {random_word(rng, 1, 9) for _ in range(60)}
+        vocabulary = sorted({random_word(rng, 1, 9) for _ in range(60)})
+        # phrases of 1-4 words that repeat words, so that a slot can hold a
+        # word twice and several words within reach
+        phrases = [tuple(rng.choice(vocabulary) for _ in range(rng.randint(1, 4)))
+                   for _ in range(40)]
         words = list(dict.fromkeys([random_word(rng, 1, 9) for _ in range(8)]
-                                   + sorted(vocabulary)[:2]))
-        lexicon = load_lexicon(" ".join(words[:3] + sorted(vocabulary)[5:8]) + "\n")
-        tables = word_tables(words, vocabulary, lexicon)
-        assert list(tables) == words
+                                   + vocabulary[:2]))
+        lexicon = load_lexicon(" ".join(words[:3] + vocabulary[5:8]) + "\n")
+        columns = word_columns(words, phrases, lexicon)
+        assert list(columns) == words
         for w in words:
             mates = lexicon.get(w, ())
+            nearest, matched, reaches = columns[w]
+            assert nearest == [min(reference_levenshtein(w, r) / max(len(w), len(r))
+                                   for r in phrase) for phrase in phrases]
+            assert matched == {slot for slot, phrase in enumerate(phrases)
+                               if any(r == w or r in mates for r in phrase)}
             expected = {}
-            for r in vocabulary:
-                d = reference_levenshtein(w, r)
-                expected[r] = (d, d / max(len(w), len(r)), r == w or r in mates)
-            assert tables[w] == expected
+            for slot, phrase in enumerate(phrases):
+                reach = sorted((reference_levenshtein(w, r), pos)
+                               for pos, r in enumerate(phrase))
+                if reach[0][0] < ALIGN_THRESHOLD:
+                    expected[slot] = [(d, pos) for d, pos in reach if d < ALIGN_THRESHOLD]
+            assert reaches == expected
 
 
 class TestAlign:
@@ -153,15 +164,15 @@ class TestComponents:
         r = ("one", "game", "wonder")
         assert f2_synset(p, r, lex) == 1.0
 
-    def test_word_table_flags_identity_and_mates(self):
-        vocabulary = {"car", "auto"}
-        table = word_tables(("car",), vocabulary, {})["car"]
-        flags = {r: syn for r, (_, _, syn) in table.items()}
-        assert flags == {"car": True, "auto": False}
+    def test_word_column_flags_identity_and_mates(self):
+        # "auto" is a mate of "car" but too far from it to align
+        phrases = [("car",), ("auto",), ("bar",)]
+        _, mates, _ = word_columns(("car",), phrases, {})["car"]
+        assert mates == {0}
         lex = load_lexicon("car auto\n")
-        table = word_tables(("car",), vocabulary, lex)["car"]
-        flags = {r: syn for r, (_, _, syn) in table.items()}
-        assert flags == {"car": True, "auto": True}
+        _, mates, reaches = word_columns(("car",), phrases, lex)["car"]
+        assert mates == {0, 1}
+        assert reaches == {0: [(0, 0)], 2: [(1, 0)]}
 
     def test_f2_disjoint(self):
         assert f2_synset(("aa", "bb"), ("cc", "dd"), {}) == 0.0
@@ -200,11 +211,13 @@ class TestComponents:
 
 
 def pair_score(p, r, lexicon):
-    """The kernel's score of R against P, from the tables stage 1 builds."""
-    state = PhraseScore()
+    """The kernel's score of R against P, from the columns stage 1 builds."""
+    columns = word_columns(set(p), [r], lexicon)
+    scores = SpanScores(1)
     for w in p:
-        state.add(word_term(word_tables((w,), r, lexicon)[w], r))
-    return state.value()
+        scores.fold(columns[w])
+    (value,) = scores.values([0])
+    return value
 
 
 class TestCombinedScore:

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from phrasefix import load_lexicon, tokenize
-from phrasefix.distance import word_tables
+from phrasefix.distance import word_columns
 
 
 @pytest.fixture
@@ -12,8 +12,10 @@ def lex():
 
 
 def matches(lexicon, w1, w2):
-    """Whether stage 1 counts ``w2`` as a synset match of ``w1``."""
-    return word_tables((w1,), (w2,), lexicon)[w1][w2][2]
+    """Whether stage 1 counts ``w2`` as a synset match of ``w1``: whether
+    the one-word phrase ``w2`` is among the mate slots of ``w1``'s column."""
+    _, mates, _ = word_columns((w1,), [(w2,)], lexicon)[w1]
+    return 0 in mates
 
 
 def test_load_builds_mates(lex):

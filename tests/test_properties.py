@@ -1,17 +1,20 @@
-"""Property tests: arbitrary Unicode input through ``phrasefix correct``, and
-the ARPA and index files read back what was written."""
+"""Property tests: arbitrary Unicode input through ``phrasefix correct``, the
+ARPA and index files read back what was written, and stage 1's column
+kernel scores every prefix of a phrase as the reference does."""
 
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from phrasefix import (build_index, load_index, parse_arpa, save_index,
+from phrasefix import (build_index, load_index, load_lexicon, parse_arpa, save_index,
                        serialize_arpa, tokenize, train_counts)
 from phrasefix.cli import main
+from phrasefix.distance import ALIGN_THRESHOLD, SpanScores, levenshtein, word_columns
 from phrasefix.phrase_index import PhraseDoc
 
 from conftest import synth_corpus
+from distance_oracle import reference_score
 
 # derandomized, so a run is repeatable; examples bounded to keep tier-1 fast;
 # the files a test writes under its tmp_path are rewritten by each example
@@ -75,3 +78,33 @@ def test_index_round_trip(tmp_path, phrases):
     assert loaded.docs == docs
     assert loaded.postings == build_index(docs).postings
 
+
+
+# words of 1-6 letters over two letters: many pairs within ALIGN_THRESHOLD,
+# and many beyond it
+SHORT_WORD = st.text("ab", min_size=1, max_size=6)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_column_kernel_equals_reference_on_every_prefix(data):
+    # P always holds "a", a mate of "bbbbb" beyond ALIGN_THRESHOLD, and the
+    # last phrase is "bbbbb" alone: a slot that matches a word of P without
+    # any position that word can align to
+    vocab = ["a", "bbbbb"] + data.draw(st.lists(SHORT_WORD, max_size=6))
+    word = st.sampled_from(vocab)
+    p = data.draw(st.lists(word, max_size=4))
+    p.insert(data.draw(st.integers(0, len(p))), "a")
+    phrases = data.draw(st.lists(st.lists(word, min_size=1, max_size=5).map(tuple),
+                                 max_size=4)) + [("bbbbb",)]
+    synsets = data.draw(st.lists(st.lists(word, min_size=2, max_size=3), max_size=3))
+    lexicon = load_lexicon("a bbbbb\n" + "".join(" ".join(s) + "\n" for s in synsets))
+    columns = word_columns(set(p), phrases, lexicon)
+    _, mates, reaches = columns["a"]
+    assert levenshtein("a", "bbbbb") >= ALIGN_THRESHOLD
+    assert len(phrases) - 1 in mates and len(phrases) - 1 not in reaches
+    scores = SpanScores(len(phrases))
+    for m, w in enumerate(p, 1):
+        scores.fold(columns[w])
+        assert scores.values(range(len(phrases))) == \
+            [reference_score(p[:m], r, lexicon) for r in phrases]

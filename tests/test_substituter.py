@@ -7,7 +7,7 @@ from phrasefix import (ScoredPhrase, SubstituterConfig, build_index, find_best_s
                        find_k_best_common, levenshtein, load_lexicon, parse_arpa,
                        train_counts)
 from phrasefix import substituter
-from phrasefix.distance import PhraseScore
+from phrasefix.distance import SpanScores
 from phrasefix.phrase_index import PhraseDoc
 
 from conftest import random_word, retrieve_any
@@ -41,24 +41,25 @@ def oracle_best_sub(docs, lm, lex, phrase, cfg):
 @pytest.fixture
 def rank_branches(monkeypatch):
     """Each ``_rank`` call on a non-empty cell as ``(whether the pool fits
-    in t_pool, branch)``: the sort scores every state, the shortcut none."""
+    in t_pool, branch)``: the sort when one ``SpanScores.values`` pass
+    scored the cell's whole pool, the shortcut when none scored it."""
     branches = []
-    scored = [0]
-    value, rank = PhraseScore.value, substituter._rank
+    passes = []  # the slots each values pass scored since the last cell
+    values, rank = SpanScores.values, substituter._rank
 
-    def counting_value(self):
-        scored[0] += 1
-        return value(self)
+    def counting_values(self, slots):
+        passes.append(len(slots))
+        return values(self, slots)
 
-    def recording_rank(query, states, places, ranked, where, lm, config):
-        before = scored[0]
-        cell = rank(query, states, places, ranked, where, lm, config)
-        if states:
-            branches.append((len(states) <= config.t_pool,
-                             "sort" if scored[0] > before else "shortcut"))
+    def recording_rank(query, pool, *args):
+        cell = rank(query, pool, *args)
+        if pool:
+            assert passes in ([], [len(pool)])
+            branches.append((len(pool) <= args[-1].t_pool, "sort" if passes else "shortcut"))
+        passes.clear()
         return cell
 
-    monkeypatch.setattr(PhraseScore, "value", counting_value)
+    monkeypatch.setattr(SpanScores, "values", counting_values)
     monkeypatch.setattr(substituter, "_rank", recording_rank)
     return branches
 
@@ -241,15 +242,15 @@ class TestFindBestSubs:
 
     def test_states_are_scored_only_past_t_pool(self, toy_setup, monkeypatch,
                                                 rank_branches):
-        # each PhraseScore made, as the number of cells ranked before it
+        # each fold of a word's column, as the number of cells ranked before it
         made = []
+        fold = SpanScores.fold
 
-        class Counting(PhraseScore):
-            def __init__(self):
-                super().__init__()
-                made.append(len(rank_branches))
+        def counting_fold(self, column):
+            made.append(len(rank_branches))
+            fold(self, column)
 
-        monkeypatch.setattr(substituter, "PhraseScore", Counting)
+        monkeypatch.setattr(SpanScores, "fold", counting_fold)
         lm, docs, index = toy_setup
         # at d_t 1 a word retrieves the docs that hold it: the spans of
         # (0, 0) .. (2, 2) hold docs {2}, {2, 3}, {1, 2, 3}, {3}, {1, 3}, {1}
@@ -260,13 +261,53 @@ class TestFindBestSubs:
         rank_branches.clear()
         cfg = SubstituterConfig(k=2, t_pool=2, d_t=1)
         lazy = find_best_subs(index, lm, {}, sentence, cfg)
-        # only the full span, the third cell ranked, exceeds t_pool 2
+        # only the full span, the third cell ranked, exceeds t_pool 2: its
+        # start folds its three words then, and no other start folds
         assert made == [2, 2, 2]
         assert rank_branches == [(True, "shortcut")] * 2 + [(False, "sort")] + \
             [(True, "shortcut")] * 3
         for (i, j), cell in lazy.items():
             assert cell == oracle_best_sub(docs, lm, {}, sentence[i:j + 1], cfg)
         assert cells[(0, 1)] == lazy[(0, 1)]
+
+    @pytest.mark.parametrize("twins", [False, True], ids=["distinct", "twins"])
+    def test_interleaved_doc_lengths_match_oracle(self, rank_branches, twins):
+        # docid order is not extract_phrases' order by length (3, 1, 2, 3, 1,
+        # ...), and "cat" and "dog" are mates too far apart to align; the
+        # twins repeat earlier docs' tokens at higher docids and better
+        # stored scores, which build_index accepts
+        grams = [("mat", "cat", "dog"), ("cot",), ("dig", "cat"), ("cat", "dog", "cot"),
+                 ("mat",), ("dog", "mat"), ("cot", "cat", "dig"), ("dig",)]
+        lm = train_counts(grams, 2)
+        docs = [PhraseDoc(i, g, lm.score_sequence(g)) for i, g in enumerate(grams)]
+        if twins:
+            docs += [PhraseDoc(len(docs) + i, docs[d].tokens, docs[d].lm_score + 2.0)
+                     for i, d in enumerate((1, 2, 0))]
+        index = build_index(docs)
+        lex = load_lexicon("cat dog\n")
+        sentence = ("cot", "dog", "cat", "dog", "map")
+        for t_pool in (1, 2, 3, 5, 8, 20):
+            for d_t in (1, 2, 3):
+                cfg = SubstituterConfig(k=min(3, t_pool), t_pool=t_pool, d_t=d_t)
+                cells = find_best_subs(index, lm, lex, sentence, cfg)
+                for (i, j), cell in cells.items():
+                    assert cell == oracle_best_sub(docs, lm, lex, sentence[i:j + 1], cfg)
+        assert set(rank_branches) == {(True, "shortcut"), (False, "sort")}
+
+    def test_sentence_that_retrieves_nothing_keeps_only_identities(self, rank_branches):
+        lm = train_counts([("alpha", "beta"), ("gamma",)], 2)
+        index = build_index([PhraseDoc(0, ("alpha", "beta"), -1.0),
+                             PhraseDoc(1, ("gamma",), -0.5)])
+        sentence = ("zq", "xj", "zq")
+        cfg = SubstituterConfig(k=2, t_pool=2)
+        assert all(not index.retrieve(w, cfg.d_t) for w in sentence)
+        cells = find_best_subs(index, lm, {}, sentence, cfg)
+        assert sorted(cells) == [(i, j) for i in range(3) for j in range(i, 3)]
+        for (i, j), cell in cells.items():
+            span = sentence[i:j + 1]
+            assert cell == [ScoredPhrase(span, lm.score_sequence(span))]
+            assert cell == oracle_best_sub(index.docs, lm, {}, span, cfg)
+        assert rank_branches == []
 
     def test_identity_keeps_a_retrieved_docs_stored_score(self):
         # the identity is appended after the pool and top_k keeps the first
