@@ -4,6 +4,11 @@ once per sentence (``levenshtein`` is one call of it for one pair), and the
 one kernel for the equally weighted mean of the orthographic (f1), synset
 (f2) and word-order (f3) components of a phrase P against phrases R.
 
+``edit_distances`` packs its strings into one int, each in a field of the
+same power-of-two width, and keeps every lane's distance in a counter of
+the same fields as it goes, so that all of a word's distances come out of
+one conversion to bytes.
+
 All components are similarities in [0, 1], higher is better, and so is
 their mean. Word order is judged on a greedy left-to-right one-to-one
 alignment of P's words onto R's, each pair at Levenshtein distance below
@@ -18,8 +23,10 @@ their mean."""
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import repeat
 from operator import add
 from typing import Collection, Iterable, Sequence
 
@@ -28,6 +35,10 @@ from typing import Collection, Iterable, Sequence
 ALIGN_THRESHOLD = 3
 
 Column = tuple[list[float], set[int], dict[int, list[tuple[int, int]]]]
+
+# the array typecodes of unsigned ints of 8 to 64 bits
+_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def edit_distances(words: Iterable[str],
@@ -38,45 +49,76 @@ def edit_distances(words: Iterable[str],
 
     The bit-vector algorithm of Myers (1999) in Hyyrö's (2003) form, run on
     many patterns at once (Hyyrö, Fredriksson & Navarro 2005). Each string
-    of ``others`` is one lane of a single Python int: its ``len(r)`` pattern
-    bits, then a zero guard bit that stops the ``+`` carry and the ``<< 1``
-    shifts at the lane's edge. ``lows`` holds bit 0 of every lane, where row
-    0 of each table grows by one per column. Each word then makes one pass
-    over its own characters, and a lane's distance is read from the final
-    column: ``len(word)`` plus the lane's +1 vertical deltas minus its -1
-    ones. ``tests/distance_oracle.py`` keeps the textbook DP as the
+    of ``others`` is one lane of a single Python int, in a field of W bits:
+    W is a power of two, at least 8, chosen per call so that the longest
+    lane and a zero guard bit above it fit, and so does the largest
+    distance. Each lane sits at the top of its field, right below its guard,
+    which stops the ``+`` carry and the ``<< 1`` shifts at the lane's edge,
+    so bit W - 2 of every field is its lane's last row. ``lows`` holds bit 0
+    of every lane, where row 0 of each table grows by one per column.
+
+    Each word makes one pass over its own characters, and each step adds the
+    +1 and -1 horizontal deltas of every lane's last row into one counter,
+    all fields in one int operation. Each field of the counter then holds
+    its lane's distance, and one ``to_bytes`` into an ``array`` reads them
+    all. ``tests/distance_oracle.py`` keeps the textbook DP as the
     reference.
     """
-    lanes = "".join(r + "\0" for r in others)  # "\0" marks a guard bit
-    full = int("".join("0" + "1" * len(r) for r in reversed(others)) or "0", 2)
+    words = tuple(words)
+    lengths = list(map(len, others))
+    top = max(lengths, default=0)
+    longest = max(top, max(map(len, words), default=0))
+    width = 8
+    while width <= top or longest >> width:
+        width *= 2
+    # the fields as ints, the lowest 64 bits of each for fields wider than
+    # that, little-endian like every int made from bytes here
+    code, stride = _CODES[min(width, 64)], max(width // 64, 1)
+    fields = array(code, bytes(width // 8 * len(others)))
+    fields[::stride] = array(code, lengths)
+    if _BIG_ENDIAN:
+        fields.byteswap()
+    shift = width - 2  # the bit of every lane's last row
+    start = int.from_bytes(fields, "little") << shift  # row m of column 0 is m
+    last = int.from_bytes((b"\1" + bytes(width // 8 - 1)) * len(others), "little") << shift
+    # the fields as binary digits, the lowest field first, each its padding,
+    # its lane, then its guard; reversed, they read as one int
+    full = int("0" + "0".join(map(str.rjust, map("1".__mul__, lengths), repeat(width - 1),
+                                  repeat("0")))[::-1], 2)
     lows = full & ~(full << 1)
-    his = list(accumulate(len(r) + 1 for r in others))
-    los = [hi - len(r) - 1 for hi, r in zip(his, others)]
-    # one mask per character, a bit at each of its places in the lanes: the
-    # lanes reversed, that character as "1" and every other as "0"
-    digits = dict.fromkeys(map(ord, lanes), "0")
-    backwards = lanes[::-1]
-    peq: dict[str, int] = {}
-    for ch in set(lanes):
-        digits[ord(ch)] = "1"
-        peq[ch] = int(backwards.translate(digits), 2) & full  # guards stay 0
-        digits[ord(ch)] = "0"
+    text = "\0" + "\0".join(map(str.rjust, others, repeat(width - 1), repeat("\0")))[::-1]
+    # one mask per character of ``words``, a bit at each of its places in
+    # the lanes: that character as "1" and every other as "0"; masking with
+    # ``full`` clears the padding and guards, whatever character they hold
+    digits = dict.fromkeys(range(128) if text.isascii() else map(ord, set(text)), "0")
+    peq = dict.fromkeys(set().union(*words), 0)
+    for ch in peq:
+        if ord(ch) in digits:
+            digits[ord(ch)] = "1"
+            peq[ch] = int(text.translate(digits), 2) & full
+            digits[ord(ch)] = "0"
+    size = len(fields) * fields.itemsize
     rows = []
     for word in words:
-        pv, mv = full, 0
+        pv, mv, score = full, 0, start
         for ch in word:
-            eq = peq.get(ch, 0)
+            eq = peq[ch]
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
             ph = mv | ~(xh | pv)  # set beyond the lanes too: masked off in pv
             mh = pv & xh
+            # exact int arithmetic: a field may borrow from the next one on
+            # the way, but ends at its lane's distance, in [0, 2**W); an
+            # empty lane's bit W - 2 is padding, where ph is always set, so
+            # its distance grows by one per character, as row 0 does
+            score += (ph & last) - (mh & last)
             ph = ph << 1 | lows
             pv = (mh << 1 | ~(xv | ph)) & full
             mv = ph & xv
-        # bit i of an int is character i of its reversed binary string
-        plus, minus = bin(pv)[:1:-1], bin(mv)[:1:-1]
-        rows.append([len(word) + plus.count("1", lo, hi) - minus.count("1", lo, hi)
-                     for lo, hi in zip(los, his)])
+        distances = array(code, (score >> shift).to_bytes(size, "little"))
+        if _BIG_ENDIAN:
+            distances.byteswap()
+        rows.append(distances[::stride].tolist())
     return rows
 
 

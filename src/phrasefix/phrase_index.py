@@ -3,19 +3,21 @@ document, and an inverted index with sorted postings lists maps each word to
 its docs. ``PhraseIndex.retrieve`` takes one query word and finds its fuzzy
 matches among the postings' words: a padded-bigram count filter (Ukkonen
 1992; Gravano et al. 2001) rules out words that cannot be within ``d_t``,
-and one ``distance.edit_distances`` call verifies the rest. The bigram
-table is built once per index, on the first call, and does not depend on
-the query or on ``d_t``; nothing else is kept between calls."""
+first by a bound that holds for every word and then by the exact one, and
+one ``distance.edit_distances`` call verifies the rest. The tables it reads,
+the postings' words under each padded bigram and under each length, are
+built once per index, on the first call, and depend on neither the query
+nor ``d_t``; nothing else is kept between calls."""
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import pairwise
-from operator import attrgetter
-from typing import Iterable, Sequence
+from itertools import chain, pairwise, repeat
+from operator import add, attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from .distance import edit_distances
 from .lm import LanguageModel
@@ -45,8 +47,8 @@ def extract_phrases(lm: LanguageModel, orders: Iterable[int]) -> list[PhraseDoc]
 
 class PhraseIndex:
     """Immutable phrase-document index: the docs, and the sorted postings
-    list of each word they hold. ``retrieve`` derives a bigram table from
-    the postings' words on its first call."""
+    list of each word they hold. ``retrieve`` derives its bigram and length
+    tables from the postings' words on its first call."""
 
     def __init__(self, docs: list[PhraseDoc], postings: dict[str, list[int]]):
         self.docs = docs
@@ -57,50 +59,52 @@ class PhraseIndex:
         < d_t from ``word``.
 
         Strings at distance k share at least max(|a|, |b|) + 1 - 2k of their
-        padded bigrams (``_bigram_keys``), counted as multisets, because one
-        edit changes at most two of them. So only words that share enough
-        bigrams with ``word``, and whose length gap is below ``d_t``, reach
+        padded bigrams (``_bigrams``), counted as multisets, because one edit
+        changes at most two of them. ``shared`` counts, for each distinct
+        bigram of ``word``, every occurrence of it in a word, which is at
+        least that multiset count. So only words whose count reaches the
+        bound, and whose length gap is below ``d_t``, reach
         ``edit_distances``; the filter drops no match.
         """
         if d_t < 1:
             raise ValueError("d_t must be >= 1")
         n, slack = len(word), 2 * (d_t - 1)
-        shared: Counter[str] = Counter()
-        for key in _bigram_keys(word):
-            shared.update(self._by_bigram.get(key, ()))
-        words = shared.keys()
+        by_bigram, by_length = self._tables
+        shared = Counter(chain.from_iterable(
+            map(by_bigram.get, set(_bigrams(word)), repeat(()))))
+        # the bound max(|w|, n) + 1 - slack is never below n + 1 - slack, so
+        # one comparison per word leaves few words, and only those longer
+        # than the query need the exact bound
+        least = n + 1 - slack
+        words = [w for w, count in shared.items() if count >= least]
         if n < slack:
-            # the bound is <= 0 for these short words, so a match may share
-            # no bigram with the query
-            words = words | {w for w in self.postings if len(w) < slack}
-        near = [w for w in words if shared[w] >= max(len(w), n) + 1 - slack
-                and abs(len(w) - n) < d_t]
+            # the bound is <= 0 for words shorter than slack, so a match may
+            # share no bigram with the query
+            words = set(words).union(*(by_length.get(m, ())
+                                       for m in range(n - d_t + 1, min(n + d_t, slack))))
+        near = [w for w in words if -d_t < (m := len(w)) - n < d_t and shared[w] >= m + 1 - slack]
         (distances,) = edit_distances((word,), near)
         return sorted(set().union(*(
             self.postings[w] for w, d in zip(near, distances) if d < d_t)))
 
     @cached_property
-    def _by_bigram(self) -> dict[tuple[str, int], list[str]]:
-        """The postings' words under each of their bigram keys."""
-        table: dict[tuple[str, int], list[str]] = {}
+    def _tables(self) -> tuple[dict[str, list[str]], dict[int, list[str]]]:
+        """The postings' words under each of their padded bigrams, once per
+        occurrence, and under their lengths."""
+        by_bigram: defaultdict[str, list[str]] = defaultdict(list)
+        by_length: defaultdict[int, list[str]] = defaultdict(list)
         for w in self.postings:
-            for key in _bigram_keys(w):
-                table.setdefault(key, []).append(w)
-        return table
+            for bigram in _bigrams(w):
+                by_bigram[bigram].append(w)
+            by_length[len(w)].append(w)
+        # plain dicts, so that no lookup can add a key
+        return dict(by_bigram), dict(by_length)
 
 
-def _bigram_keys(word: str) -> list[tuple[str, int]]:
-    """The |word| + 1 bigrams of ``"\\x02" + word + "\\x03"``, the c-th
-    repeat of a bigram keyed ``(bigram, c)``, so that the number of keys two
-    words share is the size of their bigram multisets' intersection."""
+def _bigrams(word: str) -> Iterator[str]:
+    """The |word| + 1 bigrams of ``"\\x02" + word + "\\x03"``, in order."""
     padded = f"\x02{word}\x03"
-    seen: dict[str, int] = {}
-    keys = []
-    for i in range(len(padded) - 1):
-        bigram = padded[i:i + 2]
-        c = seen[bigram] = seen.get(bigram, 0) + 1
-        keys.append((bigram, c))
-    return keys
+    return map(add, padded, padded[1:])
 
 
 def build_index(docs: Sequence[PhraseDoc]) -> PhraseIndex:

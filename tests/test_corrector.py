@@ -169,7 +169,7 @@ class TestCorrectDp:
         # and what it derived does not depend on the queries that built it
         fresh = build_index(index.docs)
         fresh.retrieve("zzzzzz", 1)
-        assert fresh._by_bigram == index._by_bigram
+        assert fresh._tables == index._tables
 
     def test_model_and_index_die_with_their_last_reference(self):
         # correct_dp's LM cache lives for one call and no cycle holds the

@@ -87,6 +87,51 @@ class TestEditDistances:
     def test_equals_reference_property(self, words, others):
         assert edit_distances(words, others) == self.reference_rows(words, others)
 
+    def test_widest_field_among_short_lanes(self):
+        # one 70-character lane makes every field 128 bits wide, read as its
+        # lowest 64; the 1-character lanes around it sit in the same width
+        rng = random.Random(41)
+        others = ["a", "b", "".join(rng.choice("ab") for _ in range(70)), "a", ""]
+        words = ["", "a", "ab" * 20, others[2], others[2][:64] + "b"]
+        assert edit_distances(words, others) == self.reference_rows(words, others)
+
+    def test_long_word_widens_the_counter(self):
+        # short lanes fit 8-bit fields, but a 300-character word puts their
+        # distances near 300, which needs 16
+        rng = random.Random(43)
+        words = ["".join(rng.choice("abc") for _ in range(300)), "a" * 255, "a" * 256]
+        others = ["", "a", "abc", "cab", "aaaaaaa"]
+        assert edit_distances(words, others) == self.reference_rows(words, others)
+
+    @pytest.mark.parametrize("m", [7, 8, 15, 16, 31, 32, 63, 64])
+    def test_lanes_at_each_field_width_edge(self, m):
+        # a lane of W - 1 characters fills its field up to the guard bit
+        rng = random.Random(m)
+        others = ["".join(rng.choice("ab") for _ in range(k)) for k in (m, 1, m, 0, m - 1)]
+        words = [others[0], "b" * m, "ab", "", "".join(rng.choice("ab") for _ in range(m + 3))]
+        assert edit_distances(words, others) == self.reference_rows(words, others)
+
+    def test_nul_and_low_control_characters(self):
+        # the padding and guards are masked off whatever character they
+        # would hold, so NUL and "\x01" count like any other character
+        strings = ["\0", "\x01", "\0\0", "a\0b", "\x01\0\x01", "ab", "", "\0" * 9]
+        assert edit_distances(strings, strings) == self.reference_rows(strings, strings)
+        words = ["\0\xe9\U0001f600", "\x01a"]
+        others = ["\0\U0001f600", "\xe9\x01", "a"]
+        assert edit_distances(words, others) == self.reference_rows(words, others)
+
+    def test_empty_others_and_empty_words(self):
+        assert edit_distances(["abc", ""], []) == [[], []]
+        assert edit_distances([], ["abc", ""]) == []
+        assert edit_distances([""], ["abc", "", "a" * 70]) == [[3, 0, 70]]
+        assert edit_distances([], []) == []
+
+    def test_words_as_a_generator(self):
+        others = ["cat", "cart", "dog", ""]
+        words = ["cat", "dgo", "x" * 40]
+        assert edit_distances((w for w in words), others) == \
+            self.reference_rows(words, others)
+
     def test_word_columns_equal_pairwise_entries(self):
         rng = random.Random(37)
         vocabulary = sorted({random_word(rng, 1, 9) for _ in range(60)})

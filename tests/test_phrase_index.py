@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,9 +144,28 @@ class TestFuzzyLookup:
         assert index.retrieve(query, d_t) == scan(index, query, d_t)
 
     def test_bigram_table_holds_each_padded_bigram_once(self):
+        # each word is listed under a padded bigram once per occurrence of
+        # it, and under its length once
         index = build_index(make_docs(["aaaa b", "abab", "b cd", "\x02a\x03"]))
-        assert sum(map(len, index._by_bigram.values())) == \
-            sum(len(w) + 1 for w in index.postings)
+        by_bigram, by_length = index._tables
+        for w in index.postings:
+            padded = f"\x02{w}\x03"
+            assert Counter(padded[i:i + 2] for i in range(len(w) + 1)) == \
+                Counter({bigram: words.count(w) for bigram, words in by_bigram.items()
+                         if w in words})
+        assert sum(map(len, by_bigram.values())) == sum(len(w) + 1 for w in index.postings)
+        assert sorted(by_length) == [1, 2, 3, 4]
+        assert {m: sorted(words) for m, words in by_length.items()} == \
+            {m: sorted(w for w in index.postings if len(w) == m) for m in by_length}
+
+    @pytest.mark.parametrize("d_t", [2, 3, 4, 5, 6])
+    def test_short_queries_read_the_words_by_length(self, d_t):
+        # a query shorter than 2 * (d_t - 1) also takes the words of each
+        # length near its own that share no bigram with it
+        words = ["x" * m for m in range(1, 13)] + ["b", "ab", "ba", "abc", "qrst", "\x02\x03"]
+        index = build_index(make_docs(words))
+        for q in ["", "a", "b", "ab", "zz", "abc", "xyz", "abcd", "zzzzz", "\x03"]:
+            assert index.retrieve(q, d_t) == scan(index, q, d_t), q
 
 
 class TestRetrieve:
