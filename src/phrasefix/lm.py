@@ -114,8 +114,16 @@ def parse_arpa(text) -> LanguageModel:
             fields = line.split()
             if len(fields) not in (n + 1, n + 2):
                 raise ArpaParseError(f"expected {n}-gram entry, got {line!r}", line_no)
-            logprob = _finite(fields[0], "logprob", line_no)
-            backoff = _finite(fields[-1], "backoff", line_no) if len(fields) == n + 2 else 0.0
+            try:
+                logprob = float(fields[0])
+                backoff = float(fields[-1]) if len(fields) == n + 2 else 0.0
+                if not math.isfinite(logprob + backoff):
+                    raise ValueError
+            except ValueError:
+                # a value is not a finite float (or two finite ones sum past
+                # the largest): ``_finite`` names the first bad one
+                logprob = _finite(fields[0], "logprob", line_no)
+                backoff = _finite(fields[-1], "backoff", line_no) if len(fields) == n + 2 else 0.0
             gram, entry = tuple(fields[1:n + 1]), (logprob, backoff)
             if table.setdefault(gram, entry) is not entry:
                 raise ArpaParseError(f"repeated {n}-gram {' '.join(gram)!r}", line_no)

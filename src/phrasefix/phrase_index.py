@@ -13,18 +13,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, pairwise, repeat
-from operator import add, attrgetter
-from typing import Iterable, Iterator, Sequence
+from operator import add, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .distance import edit_distances
 from .lm import LanguageModel
 
 
-@dataclass(frozen=True)
-class PhraseDoc:
+class PhraseDoc(NamedTuple):
+    """A stored n-gram and its LM score. A tuple, so that ``load_index``
+    builds one cheaply and hot loops may read it by position; its fields
+    are named for readers such as the benchmark's reload check."""
+
     docid: int
     tokens: tuple[str, ...]
     lm_score: float
@@ -114,13 +116,13 @@ def build_index(docs: Sequence[PhraseDoc]) -> PhraseIndex:
     and duplicate-free by appending a docid unless it is already last.
     """
     postings: dict[str, list[int]] = {}
-    for i, doc in enumerate(docs):
-        if doc.docid != i:
-            raise ValueError(f"doc at position {i} has docid {doc.docid}; "
+    for i, (docid, tokens, _) in enumerate(docs):
+        if docid != i:
+            raise ValueError(f"doc at position {i} has docid {docid}; "
                              "docids must be 0..M-1 in order")
-        if not doc.tokens:
-            raise ValueError(f"doc {doc.docid} has no tokens")
-        for word in doc.tokens:
+        if not tokens:
+            raise ValueError(f"doc {docid} has no tokens")
+        for word in tokens:
             ids = postings.get(word)
             if ids is None:
                 postings[word] = [i]
@@ -152,14 +154,14 @@ def save_index(index: PhraseIndex, path):
         if word.split() != [word]:
             raise ValueError(f"cannot save the word {word!r}: an index word must be "
                              "non-empty and hold no whitespace")
-    for doc in index.docs:
-        if not math.isfinite(doc.lm_score):
-            raise ValueError(f"cannot save doc {doc.docid}: non-finite score {doc.lm_score!r}")
+    for docid, _, lm_score in index.docs:
+        if not math.isfinite(lm_score):
+            raise ValueError(f"cannot save doc {docid}: non-finite score {lm_score!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_MAGIC}\t{_VERSION}\n")
         fh.write(f"docs\t{len(index.docs)}\n")
-        for doc in index.docs:
-            fh.write(f"{doc.docid}\t{doc.lm_score!r}\t{' '.join(doc.tokens)}\n")
+        for docid, tokens, lm_score in index.docs:
+            fh.write(f"{docid}\t{lm_score!r}\t{' '.join(tokens)}\n")
         fh.write(f"postings\t{len(index.postings)}\n")
         for word in sorted(index.postings):
             ids = " ".join(str(i) for i in index.postings[word])
@@ -182,18 +184,19 @@ def load_index(path) -> PhraseIndex:
                 raise ValueError(f"line 2: expected 'docs<TAB>count' with a count >= 0, "
                                  f"got {line!r}")
             docs = []
+            make, isfinite = PhraseDoc._make, math.isfinite
             for line_no in range(3, 3 + int(count)):
                 line = fh.readline()
                 try:
                     docid, score, tokens = line.rstrip("\n").split("\t")
-                    doc = PhraseDoc(int(docid), tuple(tokens.split()), float(score))
-                    if doc.docid != len(docs) or not doc.tokens:
+                    doc = make((int(docid), tuple(tokens.split()), float(score)))
+                    if doc[0] != len(docs) or not doc[1]:
                         raise ValueError
                 except ValueError:
                     raise ValueError(f"line {line_no}: expected doc {len(docs)} of "
                                      f"{count} as 'docid<TAB>score<TAB>tokens', "
                                      f"got {line!r}") from None
-                if not math.isfinite(doc.lm_score):
+                if not isfinite(doc[2]):
                     raise ValueError(f"line {line_no}: doc {docid} has non-finite "
                                      f"score {score!r}")
                 docs.append(doc)
@@ -216,7 +219,7 @@ def _reject_duplicate_tokens(docs: Sequence[PhraseDoc]):
     doc's tokens raised peak resident memory by 3.5 MB on a 54k-doc index,
     and a ``build-index`` file is already sorted within each order.
     """
-    for a, b in pairwise(sorted(docs, key=attrgetter("tokens"))):
+    for a, b in pairwise(sorted(docs, key=itemgetter(1))):
         if a.tokens == b.tokens:
             raise ValueError(f"lines {a.docid + 3} and {b.docid + 3}: docs "
                              f"{a.docid} and {b.docid} have the same tokens "

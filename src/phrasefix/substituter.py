@@ -61,10 +61,12 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
     retrieved = sorted(set().union(*hits.values()))
     slot_of = {d: slot for slot, d in enumerate(retrieved)}
     hits = {w: [slot_of[d] for d in found] for w, found in hits.items()}
-    phrases = [docs[d].tokens for d in retrieved]
+    # a doc read by position, (docid, tokens, lm_score), is cheaper than by
+    # field name
+    phrases = [docs[d][1] for d in retrieved]
     columns = word_columns(hits, phrases, lexicon)
     # the score of a tuple's lowest docid, which comes last
-    lowest = {docs[d].tokens: docs[d].lm_score for d in reversed(retrieved)}
+    lowest = {docs[d][1]: docs[d][2] for d in reversed(retrieved)}
     ranked = sorted(lowest.items(), key=lambda item: (-item[1], item[0]))
     where = {phrase: place for place, (phrase, _) in enumerate(ranked)}
     places = [where[phrase] for phrase in phrases]
@@ -127,5 +129,5 @@ def find_k_best_common(index: PhraseIndex,
     hits: Counter[int] = Counter()
     for word in set(phrase):
         hits.update(index.postings.get(word, ()))
-    return [index.docs[docid].tokens
-            for docid in sorted(docid for docid, n in hits.items() if n >= 2)]
+    docs = index.docs  # tokens by position, as in ``find_best_subs``
+    return [docs[docid][1] for docid in sorted(docid for docid, n in hits.items() if n >= 2)]

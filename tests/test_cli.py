@@ -1,11 +1,12 @@
+import gc
 import json
 import shlex
 from pathlib import Path
 
 import pytest
 
-from phrasefix import (SubstituterConfig, cli, correct_dp, load_index, parse_arpa, tokenize,
-                       train_counts)
+from phrasefix import (SubstituterConfig, cli, correct_dp, load_index, parse_arpa,
+                       phrase_index, tokenize, train_counts)
 from phrasefix.cli import main
 
 from conftest import synth_corpus
@@ -392,6 +393,46 @@ class TestCorrect:
         printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["original"] for r in printed] == lines
         assert printed == records
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case,code", [("dp", 0), ("corrupt index", 2),
+                                           ("phrase-len", 1)])
+    def test_leaves_the_collector_as_it_found_it(self, workspace, monkeypatch, enabled,
+                                                 case, code):
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)  # order 2
+        algorithm, options = ("fixed", ["--phrase-len", "1"]) if case == "phrase-len" \
+            else ("dp", [])
+        if case == "corrupt index":
+            idx.write_text("garbage\n", encoding="utf-8")
+        calls = []  # the collector while loading the index and while correcting
+        load_index = phrase_index.load_index
+
+        def spy_load(path):
+            calls.append(("load", gc.isenabled()))
+            return load_index(path)
+
+        def spy_correct(*args):
+            calls.append(("correct", gc.isenabled(), gc.get_freeze_count() > 0))
+            return correct_dp(*args)
+
+        monkeypatch.setattr(phrase_index, "load_index", spy_load)
+        monkeypatch.setattr(cli, "correct_dp", spy_correct)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            got = self.correct(tmp, arpa, idx, [" ".join(sentences[0][:4])], algorithm,
+                               options)[0]
+            after = gc.isenabled(), gc.get_freeze_count()
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert got == code
+        assert after == (enabled, 0)
+        # paused while loading; as found, with what was loaded frozen, while
+        # correcting; the usage error returns after the model, before the index
+        assert calls == {"dp": [("load", False), ("correct", enabled, True)],
+                         "corrupt index": [("load", False)],
+                         "phrase-len": []}[case]
 
     def test_unknown_algorithm_is_usage_error(self, workspace):
         tmp, corpus, _ = workspace

@@ -74,6 +74,14 @@ class TestParseArpa:
         with pytest.raises(ArpaParseError, match="line 5: non-finite"):
             parse_arpa(text)
 
+    def test_a_gram_word_is_never_read_as_a_number(self):
+        text = "\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3\tinf\n-0.3\tnan\t-0.1\n\n\\end\\\n"
+        assert parse_arpa(text).tables == {1: {("inf",): (-0.3, 0.0), ("nan",): (-0.3, -0.1)}}
+
+    def test_finite_numbers_whose_sum_overflows_load(self):
+        text = "\\data\\\nngram 1=1\n\n\\1-grams:\n-1e308\ta\t-1e308\n\n\\end\\\n"
+        assert parse_arpa(text).tables == {1: {("a",): (-1e308, -1e308)}}
+
     def test_section_out_of_sequence(self):
         text = ("\\data\\\nngram 1=1\nngram 2=1\n\n\\2-grams:\n-0.5\ta b\n\n"
                 "\\1-grams:\n-0.3\ta\n\n\\end\\\n")
@@ -100,6 +108,12 @@ class TestParseArpa:
          "missing \\2-grams: section", 8),
         ("\\data\\\nngram 1=1\nngram 2=1\n\n\\1-grams:\n-0.3\ta\tbogus\n",
          "non-numeric backoff 'bogus'", 6),
+        # each number is named, the logprob first
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\nbogus\ta\n", "non-numeric logprob 'bogus'", 5),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n1e999\ta\n", "non-finite logprob '1e999'", 5),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3\ta\t1e999\n",
+         "non-finite backoff '1e999'", 5),
+        ("\\data\\\nngram 1=1\n\n\\1-grams:\ninf\ta\tbogus\n", "non-finite logprob 'inf'", 5),
         # the k-th count line must declare order k: order 0 beside order 1,
         # order 0 alone, a repeated order and a gap
         ("\\data\\\nngram 0=1\nngram 1=1\n\n\\0-grams:\n-0.5\n\n\\1-grams:\n"

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from phrasefix import build_index, extract_phrases, load_index, save_index, train_counts
 from phrasefix.phrase_index import PhraseDoc
 
-from conftest import random_word, retrieve_any
+from conftest import random_word, retrieve_any, synth_corpus
 from distance_oracle import levenshtein
 
 
@@ -61,13 +62,14 @@ class TestBuildIndex:
 
     def test_duplicate_docid_rejected(self):
         docs = [PhraseDoc(0, ("a",), 0.0), PhraseDoc(0, ("b",), 0.0)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "doc at position 1 has docid 0; docids must be 0..M-1 in order")):
             build_index(docs)
 
     def test_permuted_docids_rejected(self):
         # docids are looked up as positions in index.docs
         docs = [PhraseDoc(1, ("a",), 0.0), PhraseDoc(0, ("b",), 0.0)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="doc at position 0 has docid 1;"):
             build_index(docs)
 
     def test_doc_without_tokens_rejected(self):
@@ -211,7 +213,46 @@ class TestRetrieve:
                 prev = out
 
 
+class TestPhraseDoc:
+    def test_fields_in_order_and_read_only(self):
+        doc = PhraseDoc(3, ("a", "b"), -1.5)
+        assert PhraseDoc._fields == ("docid", "tokens", "lm_score")
+        assert tuple(doc) == (3, ("a", "b"), -1.5)
+        assert (doc.docid, doc.tokens, doc.lm_score) == (3, ("a", "b"), -1.5)
+        with pytest.raises(AttributeError):
+            doc.lm_score = 0.0
+
+
 class TestPersistence:
+    def test_extracted_docs_round_trip_exactly(self, tmp_path):
+        # the benchmark compares loaded docs in this form with the file's
+        docs = extract_phrases(train_counts(synth_corpus(40, seed=8), 3), [2, 3])
+        path = tmp_path / "phrases.idx"
+        save_index(build_index(docs), path)
+        assert [(d.docid, d.lm_score, d.tokens) for d in load_index(path).docs] == \
+            [(d.docid, d.lm_score, d.tokens) for d in docs]
+
+    def test_load_peaks_near_what_it_keeps(self, tmp_path):
+        # one pass that keeps no line: a load that split every line before
+        # converting them would peak well above the index it returns
+        rng = random.Random(12)
+        vocab = [random_word(rng, 4, 9) for _ in range(3000)]
+        phrases = dict.fromkeys(tuple(rng.choice(vocab) for _ in range(rng.randint(2, 3)))
+                                for _ in range(22000))
+        docs = [PhraseDoc(i, p, -rng.random() * 9) for i, p in enumerate(phrases)]
+        assert len(docs) >= 20000
+        path = tmp_path / "phrases.idx"
+        save_index(build_index(docs), path)
+        del docs, phrases
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            index = load_index(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.10 * (held - base)
+
     def test_round_trip_retrieval_identical(self, tmp_path):
         rng = random.Random(31)
         vocab = [random_word(rng, 3, 6) for _ in range(12)]
