@@ -63,7 +63,7 @@ def cmd_train_lm(args) -> int:
 
 def cmd_build_index(args) -> int:
     try:
-        orders = [int(x) for x in args.orders.split(",")] if args.orders else None
+        orders = [int(x) for x in args.orders.split(",")] if args.orders is not None else None
     except ValueError:
         return _usage_error(f"--orders must be comma-separated integers, got {args.orders!r}")
     model = _load(lm_mod.parse_arpa, args.lm)

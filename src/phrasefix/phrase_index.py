@@ -48,9 +48,10 @@ def extract_phrases(lm: LanguageModel, orders: Iterable[int]) -> list[PhraseDoc]
 
 
 class PhraseIndex:
-    """Immutable phrase-document index: the docs, and the sorted postings
-    list of each word they hold. ``retrieve`` derives its bigram and length
-    tables from the postings' words on its first call."""
+    """Immutable phrase-document index: the docs, no two with the same
+    tokens, and the sorted postings list of each word they hold.
+    ``retrieve`` derives its bigram and length tables from the postings'
+    words on its first call."""
 
     def __init__(self, docs: list[PhraseDoc], postings: dict[str, list[int]]):
         self.docs = docs
@@ -110,11 +111,15 @@ def _bigrams(word: str) -> Iterator[str]:
 
 
 def build_index(docs: Sequence[PhraseDoc]) -> PhraseIndex:
-    """Index ``docs``, whose docids must be their positions 0..M-1.
+    """Index ``docs``, whose docids must be their positions 0..M-1 and no
+    two of which may hold the same tokens.
 
     Docs are visited in docid order, so each postings list is built sorted
     and duplicate-free by appending a docid unless it is already last.
     """
+    # before the postings exist: checked after them, the sort's lists raised
+    # the peak of a load by 0.8 MB on a 50k-doc index
+    _reject_duplicate_tokens(docs)
     postings: dict[str, list[int]] = {}
     for i, (docid, tokens, _) in enumerate(docs):
         if docid != i:
@@ -146,9 +151,8 @@ def save_index(index: PhraseIndex, path):
 
     ``load_index`` splits doc tokens on whitespace and needs finite scores,
     so a postings word that is empty or holds whitespace, or a non-finite
-    doc score, is a ``ValueError`` before the file is opened. Duplicate
-    tokens are left to ``load_index``: ``extract_phrases`` yields none, and
-    finding them takes a sort costing about 3% of a ``build-index``.
+    doc score, is a ``ValueError`` before the file is opened. Its docs hold
+    distinct tokens, as ``build_index`` checked.
     """
     for word in index.postings:
         if word.split() != [word]:
@@ -170,9 +174,9 @@ def save_index(index: PhraseIndex, path):
 
 def load_index(path) -> PhraseIndex:
     """Read the docs section of an index file and index them with
-    ``build_index``; the stored postings are not read. Two docs with the
-    same tokens are an error, and every error names the file and, where the
-    file decodes, the line."""
+    ``build_index``; the stored postings are not read. Every error names
+    the file and, where it is a line's, the line; two docs with the same
+    tokens are ``build_index``'s error, named by docid."""
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split("\t")
@@ -204,23 +208,22 @@ def load_index(path) -> PhraseIndex:
             if not line.startswith("postings\t"):
                 raise ValueError(f"line {3 + len(docs)}: expected the postings header "
                                  f"after {count} docs, got {line!r}")
-        _reject_duplicate_tokens(docs)
+        return build_index(docs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return build_index(docs)
 
 
 def _reject_duplicate_tokens(docs: Sequence[PhraseDoc]):
     """Raise on two docs with the same tokens. ``extract_phrases`` yields
-    each stored n-gram once, so a file holding one phrase twice, perhaps
-    with two scores, was not written by ``build-index``.
+    each stored n-gram once, and ``substituter.find_best_subs`` ranks docs,
+    not token tuples: each doc's tokens have one score.
 
     Equal tokens are found by sorting, not hashing: a hash table of every
     doc's tokens raised peak resident memory by 3.5 MB on a 54k-doc index,
-    and a ``build-index`` file is already sorted within each order.
+    and ``extract_phrases``' docs are already sorted within each order. The
+    sort costs about 3% of a ``build-index``.
     """
     for a, b in pairwise(sorted(docs, key=itemgetter(1))):
         if a.tokens == b.tokens:
-            raise ValueError(f"lines {a.docid + 3} and {b.docid + 3}: docs "
-                             f"{a.docid} and {b.docid} have the same tokens "
+            raise ValueError(f"docs {a.docid} and {b.docid} have the same tokens "
                              f"{' '.join(a.tokens)!r}")

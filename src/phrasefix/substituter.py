@@ -47,29 +47,28 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
     before the final truncation, so no list is empty.
 
     Each distinct word is retrieved once and gets one column, a slot per
-    retrieved doc in docid order. Stage 2 ranks the docs' distinct token
-    tuples once, by ``(-lm_score, tokens)`` with the lowest docid's score; a
-    doc's place is its tuple's rank. Each start grows its span one word at a
-    time. Once the span has more than t_pool docs, it folds their columns
-    into a ``SpanScores``, and one ``values`` pass scores each cell's pool.
+    retrieved doc. The slots are in stage 2's order, ``(-lm_score,
+    tokens)``, which no two docs share because their tokens differ
+    (``build_index``), so the k best of a pool are its k lowest slots. Each
+    start grows its span one word at a time. Once the span has more than
+    t_pool docs, it folds their columns into a ``SpanScores``, and one
+    ``values`` pass scores each cell's pool.
     """
     tokens = tuple(sentence)
     if not tokens:
         raise ValueError("empty sentence")
     docs = index.docs
     hits = {w: index.retrieve(w, config.d_t) for w in set(tokens)}
-    retrieved = sorted(set().union(*hits.values()))
-    slot_of = {d: slot for slot, d in enumerate(retrieved)}
-    hits = {w: [slot_of[d] for d in found] for w, found in hits.items()}
     # a doc read by position, (docid, tokens, lm_score), is cheaper than by
     # field name
-    phrases = [docs[d][1] for d in retrieved]
+    retrieved = sorted(set().union(*hits.values()),
+                       key=lambda d: (-docs[d][2], docs[d][1]))
+    slot_of = {d: slot for slot, d in enumerate(retrieved)}
+    hits = {w: [slot_of[d] for d in found] for w, found in hits.items()}
+    ranked = [docs[d][1:] for d in retrieved]  # (tokens, lm_score) per slot
+    phrases = [phrase for phrase, _ in ranked]
     columns = word_columns(hits, phrases, lexicon)
-    # the score of a tuple's lowest docid, which comes last
-    lowest = {docs[d][1]: docs[d][2] for d in reversed(retrieved)}
-    ranked = sorted(lowest.items(), key=lambda item: (-item[1], item[0]))
-    where = {phrase: place for place, (phrase, _) in enumerate(ranked)}
-    places = [where[phrase] for phrase in phrases]
+    where = {phrase: slot for slot, phrase in enumerate(phrases)}
     cells = {}
     for i in range(len(tokens)):
         pool: set[int] = set()
@@ -81,33 +80,30 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
                 while scores.n <= j - i:  # the words of the span not folded yet
                     scores.fold(columns[tokens[i + scores.n]])
                 values = scores.values(pool)
-            cells[(i, j)] = _rank(tokens[i:j + 1], pool, values, phrases, places, ranked,
+            cells[(i, j)] = _rank(tokens[i:j + 1], pool, values, phrases, ranked,
                                   where, lm, config)
     return cells
 
 
-def _rank(query, pool, values, phrases, places, ranked, where, lm, config):
+def _rank(query, pool, values, phrases, ranked, where, lm, config):
     """Stage 1's cut to t_pool by distance score, ties by tokens, then
-    stage 2's k best places, with the identity seeded in.
+    stage 2's k best, the kept pool's lowest slots, with the identity
+    seeded in.
 
     A pool within t_pool is not cut, and ``values`` is None. Otherwise it
     holds each slot's score in ``pool``'s order: all slots above the
-    t_pool-th largest are kept, then those at it in tokens order. Docs with
-    equal tokens share the place of their lowest docid, so it does not
-    matter which of them a cut keeps; that doc is in every pool that holds
-    one of them, because the same words retrieve them. The identity takes
-    its LM score unless its tokens are in the pool."""
+    t_pool-th largest are kept, then those at it in tokens order. The
+    identity takes its LM score unless its tokens are in the pool."""
     t_pool = config.t_pool
     if values is None:
-        kept = set(map(places.__getitem__, pool))
+        kept = pool
     else:
         cut = sorted(values, reverse=True)[t_pool - 1]
-        above = [slot for slot, v in zip(pool, values) if v > cut]
+        kept = {slot for slot, v in zip(pool, values) if v > cut}
         tied = sorted([slot for slot, v in zip(pool, values) if v == cut],
                       key=phrases.__getitem__)
-        kept = set(map(places.__getitem__, above))
-        kept.update(map(places.__getitem__, tied[:t_pool - len(above)]))
-    scores = dict(ranked[place] for place in sorted(kept)[:config.k])
+        kept.update(tied[:t_pool - len(kept)])
+    scores = dict(ranked[slot] for slot in sorted(kept)[:config.k])
     if where.get(query) not in kept:
         scores[query] = lm.score_sequence(query)
     return top_k(scores, config.k)

@@ -191,8 +191,9 @@ def test_metric_suites():
 
     for trial in range(5):
         vocab = [random_word(rng, 3, 6) for _ in range(15)]
-        docs = [PhraseDoc(i, tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4))), 0.0)
-                for i in range(50)]
+        phrases = dict.fromkeys(  # each phrase once, in draw order
+            tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4))) for _ in range(50))
+        docs = [PhraseDoc(i, p, 0.0) for i, p in enumerate(phrases)]
         index = build_index(docs)
         for word in vocab:
             expected = sorted(d.docid for d in docs if word in d.tokens)
@@ -231,9 +232,11 @@ def test_scaling_smoke():
     vocab = [long_word() for _ in range(4000)]
     corpus = [tuple(rng.choice(vocab) for _ in range(8)) for _ in range(300)]
     lm = train_counts(corpus, 2)
-    docs = [PhraseDoc(i, tuple(rng.choice(vocab) for _ in range(rng.randint(2, 3))),
-                      -rng.random() * 20)
-            for i in range(50000)]
+    stored = {}  # each phrase once, in draw order, with its first score
+    while len(stored) < 50000:
+        phrase = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 3)))
+        stored.setdefault(phrase, -rng.random() * 20)
+    docs = [PhraseDoc(i, p, s) for i, (p, s) in enumerate(stored.items())]
     index = build_index(docs)
     cfg = SubstituterConfig(k=5, t_pool=200)
     lex = {}

@@ -72,9 +72,11 @@ class TestBuildIndex:
 
     def test_non_integer_orders_are_usage_error_before_reading(self, tmp_path):
         idx = tmp_path / "phrases.idx"
-        assert main(["build-index", "--lm", str(tmp_path / "nope.arpa"),
-                     "--orders", "2,x", "--out", str(idx)]) == 1
-        assert not idx.exists()
+        # "" names no order, as "2," names an empty one; neither is the default
+        for orders in ("2,x", "2,", ""):
+            assert main(["build-index", "--lm", str(tmp_path / "nope.arpa"),
+                         "--orders", orders, "--out", str(idx)]) == 1
+            assert not idx.exists()
 
     @pytest.mark.parametrize("orders", ["0", "2,4"])
     def test_orders_outside_model_order_are_usage_error(self, workspace, orders):

@@ -79,9 +79,9 @@ class TestBuildIndex:
     def test_postings_reconstruct_membership(self):
         rng = random.Random(42)
         vocab = [random_word(rng) for _ in range(20)]
-        docs = make_docs(
-            [" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
-             for _ in range(50)])
+        docs = make_docs(dict.fromkeys(  # each phrase once, in draw order
+            " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
+            for _ in range(50)))
         index = build_index(docs)
         for word in vocab:
             expected = sorted(d.docid for d in docs if word in d.tokens)
@@ -91,6 +91,12 @@ class TestBuildIndex:
             assert ids == sorted(set(ids))
             covered.update(ids)
         assert covered == set(range(len(docs)))
+
+    def test_same_tokens_twice_rejected(self):
+        docs = make_docs(["a b", "b c", "c d", "b c"])
+        with pytest.raises(ValueError, match=re.escape(
+                "docs 1 and 3 have the same tokens 'b c'")):
+            build_index(docs)
 
     def test_dictionary_holds_exactly_doc_words(self):
         index = build_index(make_docs(["a b", "b c", "ccc", "dddd"]))
@@ -175,9 +181,9 @@ class TestRetrieve:
     def index(self):
         rng = random.Random(11)
         vocab = [random_word(rng, 3, 7) for _ in range(15)]
-        return build_index(make_docs(
-            [" ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
-             for _ in range(60)])), vocab
+        return build_index(make_docs(dict.fromkeys(  # each phrase once, in draw order
+            " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
+            for _ in range(60)))), vocab
 
     def test_verbatim_word_retrieves_doc(self, index):
         idx, _ = index
@@ -309,9 +315,14 @@ class TestPersistence:
 
     def test_same_tokens_twice_rejected(self, tmp_path):
         path = tmp_path / "phrases.idx"
-        save_index(build_index(make_docs(["a b", "b c", "a b"])), path)
-        with pytest.raises(ValueError, match="docs 0 and 2 have the same tokens"):
+        save_index(build_index(make_docs(["a b", "b c", "c d"])), path)
+        lines = path.read_text().splitlines(keepends=True)
+        docid, score, _ = lines[4].split("\t")
+        lines[4] = "\t".join([docid, score, lines[2].split("\t")[2]])  # doc 0's tokens
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as err:
             load_index(path)
+        assert str(err.value) == f"{path}: docs 0 and 2 have the same tokens 'a b'"
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk"
