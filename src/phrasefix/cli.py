@@ -174,12 +174,13 @@ def cmd_evaluate(args) -> int:
 
 
 def _perplexity(model, sentences):
-    """``corpus_perplexity`` of one side, or None when none of its sentences
-    is as long as the model order (an output the corrector shortened), so
-    that the rest of the report is still written."""
-    if not any(len(s) >= model.order for s in sentences):
+    """``corpus_perplexity`` of one side, or None where it raises (no sentence
+    as long as the model order, as in an output the corrector shortened, or
+    a value past the float range), so that the rest of the report is written."""
+    try:
+        return evaluation.corpus_perplexity(model, sentences)
+    except ValueError:
         return None
-    return evaluation.corpus_perplexity(model, sentences)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,5 @@
-"""Corpus evaluation (BLEU, perplexity) and the seeded noise injector used to
-manufacture desk-scale test data."""
+"""Corpus evaluation (BLEU, and perplexity from ``LanguageModel.score_sequence``)
+and the seeded noise injector used to manufacture desk-scale test data."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from typing import Sequence
 
 from .lm import LanguageModel
 
-LOG10_2 = math.log10(2.0)
 # BLEU's highest n-gram order
 MAX_N = 4
 
@@ -57,22 +56,26 @@ def bleu(candidates: Sequence[Sequence[str]],
 
 
 def corpus_perplexity(lm: LanguageModel, sentences: Sequence[Sequence[str]]) -> float:
-    """Token-weighted perplexity: one 2**(sum LP / sum terms) over the whole
-    corpus, skipping sentences shorter than the model order."""
-    sents = [tuple(s) for s in sentences]
-    if not sents:
+    """Token-weighted perplexity: 10 ** -(the mean log10 probability of the
+    words with a full history of ``lm.order - 1`` words, over the sentences at
+    least ``lm.order`` long). ``ValueError`` if none is, or past the float range."""
+    if not sentences:
         raise ValueError("empty sentence list")
-    total_lp = 0.0
+    total = 0.0
     terms = 0
-    for sent in sents:
-        if len(sent) < lm.order:
-            continue
-        for i in range(lm.order - 1, len(sent)):
-            total_lp -= lm.score_word(sent[i], sent[i - lm.order + 1:i]) / LOG10_2
-        terms += len(sent) - lm.order + 1
+    for sent in sentences:
+        if len(sent) >= lm.order:
+            total += lm.score_sequence(sent, lm.order - 1)
+            terms += len(sent) - lm.order + 1
     if terms == 0:
         raise ValueError("no sentence is long enough for the model order")
-    return 2.0 ** (total_lp / terms)
+    try:
+        perplexity = 10 ** (-total / terms)
+    except OverflowError:
+        perplexity = math.inf
+    if not math.isfinite(perplexity):  # or the sum itself left the range
+        raise ValueError("perplexity exceeds the float range")
+    return perplexity
 
 
 @dataclass(frozen=True)

@@ -30,22 +30,17 @@ class ArpaParseError(ValueError):
 class LanguageModel:
     """Immutable n-gram model scored in log10 space with backoff.
 
-    ``tables`` maps each n-gram length to a dict from token tuple to a
-    ``(logprob, backoff)`` pair. Both are log10; the logprob is <= 0 for
-    trained models, and the backoff is 0.0 when the file gives none.
-    Unknown unigrams score ``OOV_LOGPROB``.
+    ``tables`` maps each n-gram length, up to the order, to a dict from token
+    tuple to a ``(logprob, backoff)`` pair. Both are log10; the logprob is
+    <= 0 for trained models, and the backoff is 0.0 when the file gives
+    none. Unknown unigrams score ``OOV_LOGPROB``.
     """
 
-    def __init__(self, order: int, tables: dict[int, dict[tuple[str, ...], tuple[float, float]]]):
-        if order < 1:
+    def __init__(self, tables: dict[int, dict[tuple[str, ...], tuple[float, float]]]):
+        self.order = max(tables, default=0)
+        if self.order < 1:
             raise ValueError("model order must be >= 1")
-        self.order = order
         self.tables = tables
-
-    def score_word(self, word: str, history: Iterable[str] = ()) -> float:
-        """log10 P(word | history), backing off to shorter histories."""
-        hist = tuple(history)[1 - self.order:] if self.order > 1 else ()
-        return self._score_gram(hist + (word,))
 
     def _score_gram(self, gram: tuple[str, ...]) -> float:
         """log10 P(gram[-1] | gram[:-1]) for a gram of at most ``order`` words."""
@@ -157,7 +152,7 @@ def parse_arpa(text) -> LanguageModel:
         raise ArpaParseError("missing \\end\\ marker", line_no)
     if len(tables) != len(declared):
         raise ArpaParseError(f"missing \\{len(tables) + 1}-grams: section", line_no)
-    return LanguageModel(len(declared), tables)
+    return LanguageModel(tables)
 
 
 def serialize_arpa(lm: LanguageModel) -> str:
@@ -221,4 +216,4 @@ def train_counts(corpus: Iterable[Iterable[str]], order: int) -> LanguageModel:
                 backoff = math.log10(held_out / (1.0 - seen_lower))
             table[gram] = (math.log10(c / mass[gram[:-1]]), backoff)
         tables[n] = table
-    return LanguageModel(order, tables)
+    return LanguageModel(tables)

@@ -1,10 +1,14 @@
 import gc
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import phrasefix
 from phrasefix import (SubstituterConfig, cli, correct_dp, load_index, parse_arpa,
                        phrase_index, tokenize, train_counts)
 from phrasefix.cli import main
@@ -479,6 +483,29 @@ class TestEvaluate:
         assert rep["bleu_before"] == pytest.approx(1.0)
         assert rep["bleu_after"] == 0.0
         assert f"perplexity: {rep['perplexity_before']:.3f} -> n/a\n" in capsys.readouterr().err
+
+    def test_perplexity_beyond_float_range_is_null(self, tmp_path):
+        # a valid model whose "a b a" has perplexity 10**400; run as the
+        # command, whose stdout must stay strict JSON (no Infinity or NaN)
+        arpa, text = tmp_path / "m.arpa", tmp_path / "s.txt"
+        arpa.write_text("\\data\\\nngram 1=2\n\n\\1-grams:\n-400\ta\n-400\tb\n\n\\end\\\n",
+                        encoding="utf-8")
+        text.write_text("a b a\n", encoding="utf-8")
+        src = str(Path(phrasefix.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "phrasefix.cli", "evaluate", "--before", str(text),
+             "--after", str(text), "--refs", str(text), "--lm", str(arpa)],
+            capture_output=True, text=True, encoding="utf-8", env=env)
+        assert proc.returncode == 0, proc.stderr
+
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        rep = json.loads(proc.stdout, parse_constant=reject)
+        assert rep["perplexity_before"] is None and rep["perplexity_after"] is None
+        assert "perplexity: n/a -> n/a\n" in proc.stderr
 
     def test_misaligned_files_are_data_error(self, workspace):
         tmp, corpus, sentences = workspace

@@ -298,7 +298,7 @@ class TestCorrectFixed:
             assert result.score_after >= result.score_before
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the _best_phrase_sub cycle FOUND in CHANGES.md, ROADMAP item 9: compute_sub "
+        "the _best_phrase_sub cycle FOUND in CHANGES.md, ROADMAP item 11: compute_sub "
         "calls itself through its own cell, so a garbage cycle holds the model and index"))
     def test_model_and_index_die_with_their_last_reference(self):
         # ("dd",) is a trailing remainder; the other two hold a full phrase

@@ -110,9 +110,33 @@ class TestCorpusPerplexity:
         terms = 0
         for sent in sents:
             for i in range(1, len(sent)):
-                total -= lm.score_word(sent[i], sent[i - 1:i]) / math.log10(2)
+                total -= lm.score_sequence(sent[i - 1:i] + (sent[i],), 1) / math.log10(2)
                 terms += 1
         assert corpus_perplexity(lm, sents) == pytest.approx(2 ** (total / terms))
+
+    def test_is_ten_to_minus_mean_score_sequence(self):
+        rng = random.Random(9)
+        for order in (1, 2, 3, 4):
+            vocab = [random_word(rng, 2, 4) for _ in range(6)]
+            lm = train_counts([tuple(rng.choice(vocab) for _ in range(rng.randint(2, 8)))
+                               for _ in range(20)], order)
+            sents = [tuple(rng.choice(vocab + ["<oov>"]) for _ in range(rng.randint(1, 9)))
+                     for _ in range(15)]
+            total = 0.0  # left to right, as floats add (not sum()'s compensated sum)
+            terms = 0
+            for s in sents:
+                if len(s) >= order:
+                    total += lm.score_sequence(s, order - 1)
+                    terms += len(s) - order + 1
+            assert corpus_perplexity(lm, sents) == 10 ** -(total / terms)
+
+    @pytest.mark.parametrize("logprob", ["-400", "-1e308"])
+    def test_beyond_float_range_rejected(self, logprob):
+        # -400 per word overflows the power; -1e308 the sum itself
+        lm = parse_arpa(f"\\data\\\nngram 1=2\n\n\\1-grams:\n{logprob} a\n{logprob} b\n"
+                        "\n\\end\\\n")
+        with pytest.raises(ValueError, match="^perplexity exceeds the float range$"):
+            corpus_perplexity(lm, [("a", "b", "a")])
 
     def test_sentences_below_order_skipped(self):
         lm = train_counts([("a", "b", "c", "d")] * 2, 3)

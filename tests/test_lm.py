@@ -142,29 +142,44 @@ class TestParseArpa:
         assert tabbed.tables == spaced.tables
 
 
+def arpa_logprob(lm, word, history):
+    """log10 P(word | history) by the ARPA backoff rule, written apart from
+    ``score_sequence``: a stored n-gram's logprob, else the history's backoff
+    weight (0 if the history is not stored) plus the score under the history
+    without its first word, down to ``OOV_LOGPROB`` for an unknown unigram."""
+    hit = lm.tables.get(len(history) + 1, {}).get(history + (word,))
+    if hit is not None:
+        return hit[0]
+    if not history:
+        return OOV_LOGPROB
+    ctx = lm.tables.get(len(history), {}).get(history)
+    return (ctx[1] if ctx else 0.0) + arpa_logprob(lm, word, history[1:])
+
+
 class TestScoring:
     def test_stored_trigram_direct_lookup(self):
         lm = parse_arpa(BACKOFF_TOY)
-        assert lm.score_word("c", ("a", "b")) == pytest.approx(-0.2)
+        assert lm.score_sequence(("a", "b", "c"), 2) == pytest.approx(-0.2)
 
     def test_backoff_recursion_hand_value(self):
         # (a b, d) absent -> backoff(a b) + score(d | b) = -0.1 + -0.4
         lm = parse_arpa(BACKOFF_TOY)
-        assert lm.score_word("d", ("a", "b")) == pytest.approx(-0.5)
+        assert lm.score_sequence(("a", "b", "d"), 2) == pytest.approx(-0.5)
 
     def test_oov_floor(self):
         lm = parse_arpa(BACKOFF_TOY)
-        assert lm.score_word("zzz") == OOV_LOGPROB
+        assert lm.score_sequence(("zzz",), 0) == OOV_LOGPROB
 
     def test_stored_ngram_never_backed_off(self):
         lm = parse_arpa(BACKOFF_TOY)
         for n, table in lm.tables.items():
             for gram, entry in table.items():
-                assert lm.score_word(gram[-1], gram[:-1]) == pytest.approx(entry[0])
+                assert lm.score_sequence(gram, len(gram) - 1) == pytest.approx(entry[0])
 
     def test_long_history_truncated(self):
         lm = parse_arpa(BACKOFF_TOY)
-        assert lm.score_word("c", ("d", "d", "a", "b")) == lm.score_word("c", ("a", "b"))
+        assert lm.score_sequence(("d", "d", "a", "b", "c"), 4) == \
+            lm.score_sequence(("a", "b", "c"), 2)
 
     def test_score_sequence_examples(self):
         lm = parse_arpa(UNIFORM_TWO_WORD)
@@ -172,14 +187,18 @@ class TestScoring:
         assert lm.score_sequence(("a", "b")) == pytest.approx(-0.60206, abs=1e-5)
 
     def test_score_sequence_is_positionwise_sum(self):
-        lm = parse_arpa(BACKOFF_TOY)
         rng = random.Random(0)
-        for _ in range(50):
-            s = tuple(rng.choice("abcd") for _ in range(rng.randint(1, 7)))
-            expected = sum(
-                lm.score_word(s[j], s[max(0, j - lm.order + 1):j])
-                for j in range(len(s)))
-            assert lm.score_sequence(s) == pytest.approx(expected)
+        toy = parse_arpa(BACKOFF_TOY)
+        trained = train_counts(synth_corpus(30, seed=4), 3)
+        vocab = sorted(g[0] for g in trained.tables[1]) + ["zzz"]
+        for lm, words in ((toy, "abcde"), (trained, vocab)):
+            for _ in range(50):
+                s = tuple(rng.choice(words) for _ in range(rng.randint(1, 7)))
+                terms = [arpa_logprob(lm, s[j], s[max(0, j - lm.order + 1):j])
+                         for j in range(len(s))]
+                assert lm.score_sequence(s) == pytest.approx(sum(terms))
+                start = rng.randrange(len(s))
+                assert lm.score_sequence(s, start) == pytest.approx(sum(terms[start:]))
 
     def test_empty_sequence_rejected(self):
         lm = parse_arpa(UNIFORM_TWO_WORD)
@@ -191,7 +210,7 @@ class TestScoring:
         # score, so every split must give the very float of the whole
         rng = random.Random(23)
         toy = parse_arpa(BACKOFF_TOY)
-        assert toy.score_word("d", ("a", "b")) == pytest.approx(-0.1 - 0.4)  # backs off
+        assert toy.score_sequence(("a", "b", "d"), 2) == pytest.approx(-0.1 - 0.4)  # backs off
         cases = [(toy, ("a", "b", "d", "b", "c", "oov", "a", "b", "c"))]
         for order in (1, 2, 3, 4):
             vocab = [random_word(rng, 2, 4) for _ in range(6)]
@@ -220,7 +239,7 @@ class TestScoring:
         assert lm.tables[2][("a", "b")][1] <= 0
         pruned_tables = {n: dict(t) for n, t in lm.tables.items()}
         del pruned_tables[3][("a", "b", "c")]
-        pruned = LanguageModel(lm.order, pruned_tables)
+        pruned = LanguageModel(pruned_tables)
         s = ("a", "b", "c")
         assert pruned.score_sequence(s) <= lm.score_sequence(s)
 
@@ -232,7 +251,7 @@ class TestPerplexity:
             1: {(w,): (half, 0.0) for w in "ab"},
             2: {(x, y): (half, 0.0) for x in "ab" for y in "ab"},
         }
-        return LanguageModel(2, tables)
+        return LanguageModel(tables)
 
     @pytest.mark.parametrize("length", [2, 5, 12])
     def test_uniform_half_transitions_give_two(self, length):
@@ -247,7 +266,7 @@ class TestPerplexity:
             2: {("a", "b"): (0.0, 0.0),
                 ("b", "a"): (0.0, 0.0)},
         }
-        lm = LanguageModel(2, tables)
+        lm = LanguageModel(tables)
         assert corpus_perplexity(lm, [("a", "b", "a", "b")]) == pytest.approx(1.0)
 
     def test_too_short_sequence(self):
@@ -262,7 +281,7 @@ class TestPerplexity:
             1: {(w,): (math.log10(0.5), 0.0) for w in "ab"},
             2: {g: (math.log10(p), 0.0) for g, p in probs.items()},
         }
-        lm = LanguageModel(2, tables)
+        lm = LanguageModel(tables)
         for sent in [("a", "b", "b"), ("b", "a", "a", "b"), ("a", "a", "b", "a")]:
             lp = -sum(math.log2(probs[(sent[i - 1], sent[i])])
                       for i in range(1, len(sent))) / (len(sent) - 1)
@@ -283,7 +302,9 @@ class TestTraining:
         with pytest.raises(ValueError, match="order must be >= 1"):
             train_counts([("a", "b")], 0)
         with pytest.raises(ValueError, match="model order must be >= 1"):
-            LanguageModel(0, {})
+            LanguageModel({})
+        with pytest.raises(ValueError, match="model order must be >= 1"):
+            LanguageModel({0: {(): (-0.5, 0.0)}})
 
     def test_logprobs_nonpositive(self):
         lm = train_counts(synth_corpus(50, seed=3), 3)
@@ -315,7 +336,7 @@ class TestTraining:
         lm = train_counts(synth_corpus(40, seed=5), 2)
         vocab = sorted(g[0] for g in lm.tables[1])
         for hist in [()] + [(w,) for w in vocab[:10]]:
-            total = sum(10.0 ** lm.score_word(w, hist) for w in vocab)
+            total = sum(10.0 ** lm.score_sequence(hist + (w,), len(hist)) for w in vocab)
             assert total <= 1.0 + 1e-9
 
     def test_serialize_parse_round_trip_score_identical(self):
