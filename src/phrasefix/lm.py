@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Iterable
 
 # log10 probability of a word the model has no unigram for
@@ -195,10 +195,12 @@ def train_counts(corpus: Iterable[Iterable[str]], order: int) -> LanguageModel:
     if not counts[1]:
         raise ValueError("empty corpus")
 
-    followers: dict[tuple[str, ...], Counter] = defaultdict(Counter)
+    # each (history, word) pair is one gram, so its count is set, not added,
+    # in plain dicts: a ``Counter`` runs Python code on each new key
+    followers: dict[tuple[str, ...], dict[str, int]] = {}
     for n in range(1, order + 1):
         for gram, c in counts[n].items():
-            followers[gram[:-1]][gram[-1]] += c
+            followers.setdefault(gram[:-1], {})[gram[-1]] = c
 
     # c(h) + T(h) per history h: P(w|h) = c(h,w) / mass[h]
     mass = {h: sum(ctx.values()) + len(ctx) for h, ctx in followers.items()}

@@ -33,7 +33,14 @@ class PhraseDoc(NamedTuple):
 
 
 def extract_phrases(lm: LanguageModel, orders: Iterable[int]) -> list[PhraseDoc]:
-    """One PhraseDoc per stored n-gram of a selected order, scored by the LM."""
+    """One PhraseDoc per stored n-gram of a selected order, scored by the LM.
+
+    A stored n-gram's score continues its stored (n-1)-word prefix's score
+    by its own logprob, the float ``lm.score_sequence`` gives it, so the
+    orders are scored from 1 up, each from the previous order's scores. An
+    n-gram whose prefix is not stored, as a hand-written model may have, is
+    scored by ``score_sequence``; ``train_counts`` stores every prefix.
+    """
     chosen = sorted(set(orders))
     if not chosen:
         raise ValueError("no n-gram orders selected")
@@ -41,9 +48,15 @@ def extract_phrases(lm: LanguageModel, orders: Iterable[int]) -> list[PhraseDoc]
     if bad:
         raise ValueError(f"orders {bad} outside 1..{lm.order}")
     docs = []
-    for n in chosen:
-        for gram in sorted(lm.tables.get(n, {})):
-            docs.append(PhraseDoc(len(docs), gram, lm.score_sequence(gram)))
+    scores = {(): 0.0}
+    for n in range(1, chosen[-1] + 1):
+        table, prefixes, scores = lm.tables.get(n, {}), scores, {}
+        for gram, (logprob, _) in table.items():
+            prefix = prefixes.get(gram[:-1])
+            scores[gram] = lm.score_sequence(gram) if prefix is None else prefix + logprob
+        if n in chosen:
+            for gram in sorted(table):
+                docs.append(PhraseDoc(len(docs), gram, scores[gram]))
     return docs
 
 

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import phrasefix
-from phrasefix import (SubstituterConfig, cli, correct_dp, load_index, parse_arpa,
-                       phrase_index, tokenize, train_counts)
+from phrasefix import (SubstituterConfig, cli, correct_dp, evaluation, load_index,
+                       lm as lm_mod, parse_arpa, phrase_index, tokenize, train_counts)
 from phrasefix.cli import main
 
 from conftest import synth_corpus
@@ -18,6 +18,30 @@ from conftest import synth_corpus
 
 def write_lines(path, sentences):
     path.write_text("".join(" ".join(s) + "\n" for s in sentences), encoding="utf-8")
+
+
+def run_with_collector(enabled, argv):
+    """``main(argv)`` with the caller's collector on or off: the exit code,
+    and whether the collector was on and its freeze count after it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        code = main(argv)
+        after = gc.isenabled(), gc.get_freeze_count()
+    finally:
+        (gc.enable if was else gc.disable)()
+    return code, after
+
+
+def spy_collector(monkeypatch, calls, module, *names):
+    """Record in ``calls`` each of ``module``'s functions ``names`` called,
+    with whether the collector was on."""
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(module, name)):
+            calls.append((_name, gc.isenabled()))
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
 
 
 @pytest.fixture
@@ -52,6 +76,24 @@ class TestTrainLm:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case,code", [("ok", 0), ("empty corpus", 2)])
+    def test_leaves_the_collector_as_it_found_it(self, workspace, monkeypatch, enabled,
+                                                 case, code):
+        tmp, corpus, _ = workspace
+        if case == "empty corpus":
+            corpus.write_text("\n\n", encoding="utf-8")
+        calls = []
+        spy_collector(monkeypatch, calls, lm_mod, "train_counts", "serialize_arpa")
+        got, after = run_with_collector(enabled, ["train-lm", "--corpus", str(corpus),
+                                                  "--order", "3",
+                                                  "--out", str(tmp / "m.arpa")])
+        assert got == code
+        assert after == (enabled, 0)
+        # paused while training and writing
+        assert calls == {"ok": [("train_counts", False), ("serialize_arpa", False)],
+                         "empty corpus": [("train_counts", False)]}[case]
+
 
 class TestBuildIndex:
     def test_round_trip_retrieval(self, workspace):
@@ -81,6 +123,30 @@ class TestBuildIndex:
             assert main(["build-index", "--lm", str(tmp_path / "nope.arpa"),
                          "--orders", orders, "--out", str(idx)]) == 1
             assert not idx.exists()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case,code", [("default", 0), ("orders 9", 1),
+                                           ("corrupt model", 2)])
+    def test_leaves_the_collector_as_it_found_it(self, workspace, monkeypatch, enabled,
+                                                 case, code):
+        tmp, corpus, _ = workspace
+        arpa, idx = tmp / "model.arpa", tmp / "phrases.idx"
+        main(["train-lm", "--corpus", str(corpus), "--order", "3", "--out", str(arpa)])
+        if case == "corrupt model":
+            arpa.write_text("garbage\n", encoding="utf-8")
+        options = ["--orders", "9"] if case == "orders 9" else []
+        calls = []
+        spy_collector(monkeypatch, calls, lm_mod, "parse_arpa")
+        spy_collector(monkeypatch, calls, phrase_index, "extract_phrases", "save_index")
+        got, after = run_with_collector(enabled, ["build-index", "--lm", str(arpa),
+                                                  "--out", str(idx)] + options)
+        assert got == code
+        assert after == (enabled, 0)
+        # paused from parsing the model to writing the index
+        assert calls == {"default": [("parse_arpa", False), ("extract_phrases", False),
+                                     ("save_index", False)],
+                         "orders 9": [("parse_arpa", False), ("extract_phrases", False)],
+                         "corrupt model": [("parse_arpa", False)]}[case]
 
     @pytest.mark.parametrize("orders", ["0", "2,4"])
     def test_orders_outside_model_order_are_usage_error(self, workspace, orders):
@@ -506,6 +572,28 @@ class TestEvaluate:
         rep = json.loads(proc.stdout, parse_constant=reject)
         assert rep["perplexity_before"] is None and rep["perplexity_after"] is None
         assert "perplexity: n/a -> n/a\n" in proc.stderr
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case,code", [("ok", 0), ("corrupt model", 2)])
+    def test_leaves_the_collector_as_it_found_it(self, workspace, monkeypatch, enabled,
+                                                 case, code):
+        tmp, corpus, _ = workspace
+        arpa = tmp / "m.arpa"
+        main(["train-lm", "--corpus", str(corpus), "--order", "2", "--out", str(arpa)])
+        if case == "corrupt model":
+            arpa.write_text("garbage\n", encoding="utf-8")
+        calls = []
+        spy_collector(monkeypatch, calls, lm_mod, "parse_arpa")
+        spy_collector(monkeypatch, calls, evaluation, "corpus_perplexity")
+        got, after = run_with_collector(enabled, [
+            "evaluate", "--before", str(corpus), "--after", str(corpus), "--refs", str(corpus),
+            "--lm", str(arpa), "--out", str(tmp / "report.json")])
+        assert got == code
+        assert after == (enabled, 0)
+        # paused while loading the model only
+        assert calls == {"ok": [("parse_arpa", False), ("corpus_perplexity", enabled),
+                                ("corpus_perplexity", enabled)],
+                         "corrupt model": [("parse_arpa", False)]}[case]
 
     def test_misaligned_files_are_data_error(self, workspace):
         tmp, corpus, sentences = workspace

@@ -1,12 +1,16 @@
-"""Byte-identity regression: ``phrasefix correct --algorithm dp`` must keep
-writing the committed JSONL, with a synonym lexicon.
+"""Byte-identity regression: ``phrasefix train-lm`` and ``build-index`` must
+keep writing the committed model and index, and ``correct --algorithm dp``
+the committed JSONL, with a synonym lexicon.
 
 The committed ``tests/data/golden_dp.jsonl`` was written by the per-span
 stage-1 scorer that the per-sentence sweep replaced. Stage-1 ties are broken
 on the last bit of the distance score, so any change to those floats shows
-here as a changed record.
+here as a changed record. The JSONL pins only the docs that reach a k-best
+list; ``golden_model.arpa`` and ``golden_phrases.idx`` pin every logprob,
+backoff and doc score, as the model and index were written before
+``extract_phrases`` scored each n-gram from its prefix's score.
 
-To write the file again from the ``phrasefix`` on the path:
+To write the three files again from the ``phrasefix`` on the path:
 
     python tests/test_dp_golden.py OUT_DIR
 """
@@ -24,22 +28,24 @@ DATA = Path(__file__).resolve().parent / "data"
 NOISY = DATA / "golden_noisy.txt"
 LEXICON = DATA / "golden_lexicon.txt"
 GOLDEN = "golden_dp.jsonl"
+GOLDEN_MODEL = "golden_model.arpa"
+GOLDEN_INDEX = "golden_phrases.idx"
 
 
-def correct_golden(tmp: Path, lexicon: Path = LEXICON) -> bytes:
-    """Train an order-3 LM on the conftest grammar, index it, and correct
-    the noisy fixture sentences into ``tmp / GOLDEN``."""
+def correct_golden(tmp: Path, lexicon: Path = LEXICON) -> dict[str, bytes]:
+    """Train an order-3 LM on the conftest grammar into ``tmp / GOLDEN_MODEL``,
+    index it into ``tmp / GOLDEN_INDEX``, and correct the noisy fixture
+    sentences into ``tmp / GOLDEN``; the three files' bytes by name."""
     corpus = tmp / "corpus.txt"
     corpus.write_text("".join(" ".join(s) + "\n" for s in synth_corpus(300, seed=11)),
                       encoding="utf-8")
-    arpa, idx = tmp / "model.arpa", tmp / "phrases.idx"
+    arpa, idx, path = tmp / GOLDEN_MODEL, tmp / GOLDEN_INDEX, tmp / GOLDEN
     assert main(["train-lm", "--corpus", str(corpus), "--order", "3", "--out", str(arpa)]) == 0
     assert main(["build-index", "--lm", str(arpa), "--out", str(idx)]) == 0
-    path = tmp / GOLDEN
     assert main(["correct", "--in", str(NOISY), "--lm", str(arpa), "--index", str(idx),
                  "--lexicon", str(lexicon), "--algorithm", "dp",
                  "--k", "5", "--t-pool", "40", "--d-t", "3", "--out", str(path)]) == 0
-    return path.read_bytes()
+    return {p.name: p.read_bytes() for p in (arpa, idx, path)}
 
 
 @pytest.fixture(scope="module")
@@ -62,14 +68,20 @@ def produced_styled(tmp_path_factory):
 def test_dp_jsonl_is_byte_identical(produced):
     expected = (DATA / GOLDEN).read_bytes()
     assert expected.count(b"\n") == len(NOISY.read_text(encoding="utf-8").splitlines())
-    assert produced == expected
+    assert produced[GOLDEN] == expected
 
 
 def test_styled_lexicon_gives_the_same_jsonl(produced_styled):
-    assert produced_styled == (DATA / GOLDEN).read_bytes()
+    assert produced_styled[GOLDEN] == (DATA / GOLDEN).read_bytes()
+
+
+@pytest.mark.parametrize("name", [GOLDEN_MODEL, GOLDEN_INDEX])
+def test_offline_output_is_byte_identical(produced, name):
+    assert produced[name] == (DATA / name).read_bytes()
 
 
 if __name__ == "__main__":
     target = Path(sys.argv[1])
     target.mkdir(parents=True, exist_ok=True)
-    print(f"{GOLDEN}: {len(correct_golden(target))} bytes")
+    for name, data in correct_golden(target).items():
+        print(f"{name}: {len(data)} bytes")

@@ -6,7 +6,9 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phrasefix import build_index, extract_phrases, load_index, save_index, train_counts
+from phrasefix import (build_index, extract_phrases, load_index, parse_arpa, save_index,
+                       train_counts)
+from phrasefix.lm import LanguageModel
 from phrasefix.phrase_index import PhraseDoc
 
 from conftest import random_word, retrieve_any, synth_corpus
@@ -37,9 +39,51 @@ class TestExtractPhrases:
         assert len(docs) == len(lm.tables[1]) + len(lm.tables[2])
         assert [d.docid for d in docs] == list(range(len(docs)))
 
-    def test_scores_match_independent_scoring(self, lm):
-        for doc in extract_phrases(lm, {1, 2}):
-            assert doc.lm_score == pytest.approx(lm.score_sequence(doc.tokens))
+    def test_scores_match_independent_scoring(self):
+        # to the last bit: stage 1 breaks ties on a doc's score
+        rng = random.Random(5)
+        vocab = [random_word(rng) for _ in range(12)]
+        sentences = [tuple(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
+                     for _ in range(80)]
+        for order in range(1, 5):
+            model = train_counts(sentences, order)
+            for orders in [range(1, order + 1), {1, 2}, {3}, {1, 3}]:
+                if max(orders) > order:
+                    continue
+                docs = extract_phrases(model, orders)
+                assert len(docs) == sum(len(model.tables[n]) for n in set(orders))
+                for doc in docs:
+                    assert doc.lm_score == model.score_sequence(doc.tokens), (order, doc)
+
+    def test_ngram_without_stored_prefix_scores_exactly(self):
+        # "c a b" has no stored "c a", so it is scored by score_sequence,
+        # and "c a b c" continues that score
+        model = parse_arpa("\\data\\\nngram 1=3\nngram 2=2\nngram 3=2\nngram 4=1\n\n"
+                           "\\1-grams:\n-0.7\ta\t-0.3\n-0.1\tb\t-0.2\n-0.9\tc\t-0.4\n\n"
+                           "\\2-grams:\n-0.4\ta b\t-0.1\n-0.6\tb c\n\n"
+                           "\\3-grams:\n-0.3\ta b c\n-0.2\tc a b\n\n"
+                           "\\4-grams:\n-0.1\tc a b c\n\n\\end\\\n")
+        docs = extract_phrases(model, range(1, 5))
+        assert [d.tokens for d in docs][-3:] == [("a", "b", "c"), ("c", "a", "b"),
+                                                 ("c", "a", "b", "c")]
+        for doc in docs:
+            assert doc.lm_score == model.score_sequence(doc.tokens), doc
+        # the unstored "c a" backs off through c's weight to "a"
+        assert docs[-2].lm_score == -0.9 + (-0.4 + -0.7) + -0.2
+
+    def test_trained_model_is_scored_without_score_sequence(self, monkeypatch):
+        calls = []
+        score_sequence = LanguageModel.score_sequence
+
+        def counted(self, *args):
+            calls.append(args)
+            return score_sequence(self, *args)
+
+        model = train_counts(synth_corpus(50, seed=2), 4)
+        monkeypatch.setattr(LanguageModel, "score_sequence", counted)
+        docs = extract_phrases(model, range(1, 5))
+        assert len(docs) == sum(len(t) for t in model.tables.values())
+        assert calls == []
 
     def test_empty_selection(self, lm):
         with pytest.raises(ValueError):
