@@ -6,7 +6,7 @@ from .evaluation import NoiseSpec, bleu, corpus_perplexity, inject_noise, modifi
 from .lexicon import load_lexicon
 from .lm import LanguageModel, parse_arpa, serialize_arpa, tokenize, train_counts
 from .phrase_index import PhraseIndex, build_index, extract_phrases, load_index, save_index
-from .substituter import ScoredPhrase, SubstituterConfig, find_best_subs, find_k_best_common
+from .substituter import SubstituterConfig, find_best_subs, find_k_best_common
 
 __all__ = [
     "CorrectionResult", "correct_dp", "correct_fixed",
@@ -15,5 +15,5 @@ __all__ = [
     "load_lexicon",
     "LanguageModel", "parse_arpa", "serialize_arpa", "tokenize", "train_counts",
     "PhraseIndex", "build_index", "extract_phrases", "load_index", "save_index",
-    "ScoredPhrase", "SubstituterConfig", "find_best_subs", "find_k_best_common",
+    "SubstituterConfig", "find_best_subs", "find_k_best_common",
 ]

@@ -151,7 +151,7 @@ def cmd_correct(args) -> int:
         with _open_out(args.out) as fh:
             for sent in sentences:
                 # a line without words passes through, keeping records line-aligned
-                result = correct(sent) if sent else CorrectionResult((), (), 0.0, 0.0, [], {})
+                result = correct(sent) if sent else CorrectionResult((), (), 0.0, 0.0, {}, {})
                 fh.write(json.dumps(result.to_record()) + "\n")
     finally:
         gc.unfreeze()

@@ -4,12 +4,11 @@ and the fixed-length recursive baseline."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .lm import LanguageModel
 from .phrase_index import PhraseIndex
-from .substituter import (ScoredPhrase, SubstituterConfig, find_best_subs,
-                          find_k_best_common, top_k)
+from .substituter import SubstituterConfig, find_best_subs, find_k_best_common, top_k
 
 # two-common-word candidates tried per window by the fixed-length baseline
 CANDIDATE_CAP = 10
@@ -21,7 +20,7 @@ class CorrectionResult:
     corrected: tuple[str, ...]
     score_before: float
     score_after: float
-    kbest: list[ScoredPhrase]
+    kbest: dict[tuple[str, ...], float]  # tokens -> score, best first
     stats: dict
 
     def to_record(self) -> dict:
@@ -30,28 +29,26 @@ class CorrectionResult:
             "corrected": " ".join(self.corrected),
             "score_before": self.score_before,
             "score_after": self.score_after,
-            "kbest": [{"phrase": " ".join(c.tokens), "score": c.score}
-                      for c in self.kbest],
+            "kbest": [{"phrase": " ".join(phrase), "score": score}
+                      for phrase, score in self.kbest.items()],
             "stats": self.stats,
         }
 
 
-def cross_concat(left: Sequence[ScoredPhrase], right: Sequence[ScoredPhrase],
+def cross_concat(left: Iterable[tuple[str, ...]], right: Iterable[tuple[str, ...]],
                  score_fn: Callable[..., float],
-                 out: dict[tuple[str, ...], float] | None = None) -> dict[tuple[str, ...], float]:
-    """Every concatenation of a left and a right candidate that ``out`` (a
-    new dict if none is given) does not hold yet, added to it with its score
-    as a whole phrase. ``score_fn`` is ``LanguageModel.score_sequence`` or
-    a memo of it: a concatenation's score continues its left part's exact
-    score, ``score_fn(tokens, len(a.tokens), score_fn(a.tokens))``."""
-    if out is None:
-        out = {}
+                 out: dict[tuple[str, ...], float]) -> dict[tuple[str, ...], float]:
+    """Every concatenation of a left and a right candidate's tokens that
+    ``out`` does not hold yet, added to it with its score as a whole phrase.
+    ``score_fn`` is ``LanguageModel.score_sequence`` or a memo of it: a
+    concatenation's score continues its left part's exact score,
+    ``score_fn(a + b, len(a), score_fn(a))``."""
     for a in left:
-        head = score_fn(a.tokens)
+        head = score_fn(a)
         for b in right:
-            tokens = a.tokens + b.tokens
+            tokens = a + b
             if tokens not in out:
-                out[tokens] = score_fn(tokens, len(a.tokens), head)
+                out[tokens] = score_fn(tokens, len(a), head)
     return out
 
 
@@ -59,11 +56,12 @@ def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
                lexicon: dict[str, frozenset[str]], config: SubstituterConfig) -> CorrectionResult:
     """Chart decoding: stage 1's per-span cells combined bottom-up in place.
 
-    Spans longer than one word pool their retrieved candidates, keyed by
-    tokens, with the concatenations of the two sub-span cells of each split
-    point that the pool does not hold yet. Each is rescored as a whole
-    phrase through an LM memo that lives for this call, and the pool is
-    truncated back to k. The top entry of the full-span cell wins.
+    Spans longer than one word extend their cell's map of retrieved
+    candidates, tokens to score, with the concatenations of the two sub-span
+    cells of each split point that the map does not hold yet. Each is
+    rescored as a whole phrase through an LM memo that lives for this call,
+    and the map is truncated back to k. The first entry of the full-span
+    cell wins.
     """
     tokens = tuple(sentence)
     if not tokens:
@@ -82,16 +80,15 @@ def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            pool = {c.tokens: c.score for c in cells[(i, j)]}
+            pool = cells[(i, j)]
             for m in range(i, j):
                 stats["split_evals"] += 1
                 cross_concat(cells[(i, m)], cells[(m + 1, j)], score, pool)
             cells[(i, j)] = top_k(pool, config.k)
 
     kbest = cells[(0, n - 1)]
-    best = kbest[0]
-    return CorrectionResult(tokens, best.tokens, score(tokens),
-                            best.score, kbest, stats)
+    corrected, score_after = next(iter(kbest.items()))
+    return CorrectionResult(tokens, corrected, score(tokens), score_after, kbest, stats)
 
 
 def correct_fixed(sentence: Sequence[str], lm: LanguageModel,
@@ -126,15 +123,11 @@ def correct_fixed(sentence: Sequence[str], lm: LanguageModel,
     rebuilt = tuple(w for piece in pieces for w in piece)
     score_before = lm.score_sequence(tokens)
     score_after = lm.score_sequence(rebuilt) if rebuilt != tokens else score_before
+    keep = rebuilt != tokens and score_after > score_before
+    best, score = (rebuilt, score_after) if keep else (tokens, score_before)
     stats = {"candidate_cap": CANDIDATE_CAP, "phrase_len": phrase_len,
-             "substituted_any": substituted_any}
-    if rebuilt != tokens and score_after > score_before:
-        stats["guard_triggered"] = False
-        return CorrectionResult(tokens, rebuilt, score_before, score_after,
-                                [ScoredPhrase(rebuilt, score_after)], stats)
-    stats["guard_triggered"] = True
-    return CorrectionResult(tokens, tokens, score_before, score_before,
-                            [ScoredPhrase(tokens, score_before)], stats)
+             "substituted_any": substituted_any, "guard_triggered": not keep}
+    return CorrectionResult(tokens, best, score_before, score, {best: score}, stats)
 
 
 def _best_phrase_sub(piece, lm, index, n):

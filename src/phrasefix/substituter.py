@@ -13,12 +13,6 @@ from .phrase_index import PhraseIndex
 
 
 @dataclass(frozen=True)
-class ScoredPhrase:
-    tokens: tuple[str, ...]
-    score: float  # log10 LM score
-
-
-@dataclass(frozen=True)
 class SubstituterConfig:
     """Keep the k best by LM score of the t_pool best by distance score (see
     ``distance.SpanScores``); query words match at edit distance < d_t.
@@ -37,14 +31,15 @@ class SubstituterConfig:
 
 def find_best_subs(index: PhraseIndex, lm: LanguageModel,
                    lexicon: dict[str, frozenset[str]], sentence: Sequence[str],
-                   config: SubstituterConfig) -> dict[tuple[int, int], list[ScoredPhrase]]:
+                   config: SubstituterConfig
+                   ) -> dict[tuple[int, int], dict[tuple[str, ...], float]]:
     """Up to k replacement candidates for every span ``sentence[i:j + 1]``,
-    keyed ``(i, j)``.
+    keyed ``(i, j)``, each a ``top_k`` map of tokens to log10 LM score.
 
     Stage 1 retrieves the phrase documents that fuzzy-match a word of the
     span and keeps the t_pool best by combined distance score; stage 2
     re-ranks that pool by LM score. The span itself is seeded into the pool
-    before the final truncation, so no list is empty.
+    before the final truncation, so no cell is empty.
 
     Each distinct word is retrieved once and gets one column, a slot per
     retrieved doc. The slots are in stage 2's order, ``(-lm_score,
@@ -109,13 +104,13 @@ def _rank(query, pool, values, phrases, ranked, where, lm, config):
     return top_k(scores, config.k)
 
 
-def top_k(scores: dict[tuple[str, ...], float], k: int) -> list[ScoredPhrase]:
+def top_k(scores: dict[tuple[str, ...], float], k: int) -> dict[tuple[str, ...], float]:
     """The k best of a tokens -> score map by descending score, ties broken
-    by tokens, as ``ScoredPhrase``s. A map holds one score per token tuple:
-    callers enter the one that counts first (``_rank`` and ``correct_dp``
-    enter the pool before the identity and the concatenations)."""
-    best = sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
-    return [ScoredPhrase(phrase, score) for phrase, score in best]
+    by tokens, as a new map in that order. A map holds one score per token
+    tuple: callers enter the one that counts first (``_rank`` and
+    ``correct_dp`` enter the pool before the identity and the
+    concatenations)."""
+    return dict(sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k])
 
 
 def find_k_best_common(index: PhraseIndex,

@@ -44,7 +44,7 @@ def exhaustive_best_score(tokens, index, lm, lexicon, config, candidates=None):
         if any(not lst for lst in lists):
             continue
         for choice in itertools.product(*lists):
-            seq = tuple(w for cand in choice for w in cand.tokens)
+            seq = tuple(w for cand in choice for w in cand)
             score = memo.get(seq)
             if score is None:
                 score = lm.score_sequence(seq)

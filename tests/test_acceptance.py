@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from phrasefix import (NoiseSpec, ScoredPhrase, SubstituterConfig,
+from phrasefix import (NoiseSpec, SubstituterConfig,
                        build_index, corpus_perplexity, correct_dp, correct_fixed,
                        extract_phrases, find_k_best_common, inject_noise,
                        levenshtein, modified_precision, parse_arpa, train_counts)
@@ -152,10 +152,10 @@ def test_split_count_law():
             sentence = tuple(rng.choice(vocab) for _ in range(n))
             result = correct_dp(sentence, index, lm, lex, cfg)
             assert result.stats["split_evals"] == (n ** 3 - n) // 6
-        left = [ScoredPhrase((w,), 0.0) for w in vocab[:5]]
-        right = [ScoredPhrase((w, w), 0.0) for w in vocab[5:10]]
-        assert len(cross_concat(left, right, lm.score_sequence)) == 25
-        assert len(top_k(cross_concat(left, right, lm.score_sequence), 5)) == 5
+        left = {(w,): 0.0 for w in vocab[:5]}
+        right = {(w, w): 0.0 for w in vocab[5:10]}
+        assert len(cross_concat(left, right, lm.score_sequence, {})) == 25
+        assert len(top_k(cross_concat(left, right, lm.score_sequence, {}), 5)) == 5
 
 
 UNIFORM_HALF = """\\data\\

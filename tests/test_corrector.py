@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from phrasefix import (ScoredPhrase, SubstituterConfig, build_index, correct_dp, correct_fixed,
+from phrasefix import (SubstituterConfig, build_index, correct_dp, correct_fixed,
                        extract_phrases, find_k_best_common, train_counts)
 from phrasefix.corrector import cross_concat
 from phrasefix.substituter import top_k
@@ -54,7 +54,7 @@ def random_instance(rng, max_n=6):
 
 def combine(left, right, lm, k):
     """One chart-cell combine step: every concatenation, rescored, top k."""
-    return top_k(cross_concat(left, right, lm.score_sequence), k)
+    return top_k(cross_concat(left, right, lm.score_sequence, {}), k)
 
 
 class TestCombine:
@@ -63,40 +63,38 @@ class TestCombine:
         return train_counts([("a", "b", "c"), ("b", "c", "d")], 2)
 
     def test_singleton_cells(self, lm):
-        left = [ScoredPhrase(("a",), -1.0)]
-        right = [ScoredPhrase(("b",), -1.0)]
+        left = {("a",): -1.0}
+        right = {("b",): -1.0}
         out = combine(left, right, lm, 5)
         assert len(out) == 1
-        assert out[0].tokens == ("a", "b")
+        assert list(out) == [("a", "b")]
 
     def test_full_cells_give_25_pre_truncation(self, lm):
-        left = [ScoredPhrase((w,), -1.0) for w in ("a", "b", "c", "d", "e")]
-        right = [ScoredPhrase((w, w), -1.0) for w in ("f", "g", "h", "i", "j")]
-        assert len(cross_concat(left, right, lm.score_sequence)) == 25
+        left = {(w,): -1.0 for w in ("a", "b", "c", "d", "e")}
+        right = {(w, w): -1.0 for w in ("f", "g", "h", "i", "j")}
+        assert len(cross_concat(left, right, lm.score_sequence, {})) == 25
         assert len(combine(left, right, lm, 5)) == 5
 
     def test_matches_enumerate_score_sort(self, lm):
         rng = random.Random(8)
-        left = [ScoredPhrase(tuple(rng.choice("abcd") for _ in range(2)), 0.0)
-                for _ in range(3)]
-        right = [ScoredPhrase(tuple(rng.choice("abcd") for _ in range(2)), 0.0)
-                 for _ in range(3)]
+        left = {tuple(rng.choice("abcd") for _ in range(2)): 0.0 for _ in range(3)}
+        right = {tuple(rng.choice("abcd") for _ in range(2)): 0.0 for _ in range(3)}
         got = combine(left, right, lm, 4)
         expected = {}
         for a in left:
             for b in right:
-                t = a.tokens + b.tokens
-                expected.setdefault(t, ScoredPhrase(t, lm.score_sequence(t)))
-        ranked = sorted(expected.values(), key=lambda c: (-c.score, c.tokens))[:4]
-        assert got == ranked
+                t = a + b
+                expected.setdefault(t, lm.score_sequence(t))
+        ranked = sorted(expected.items(), key=lambda item: (-item[1], item[0]))[:4]
+        assert list(got.items()) == ranked
 
     def test_rescored_as_whole_not_sum_of_parts(self, lm):
-        left = [ScoredPhrase(("a", "b"), lm.score_sequence(("a", "b")))]
-        right = [ScoredPhrase(("c",), lm.score_sequence(("c",)))]
+        left = {("a", "b"): lm.score_sequence(("a", "b"))}
+        right = {("c",): lm.score_sequence(("c",))}
         out = combine(left, right, lm, 1)
         # "b c" is a strong stored bigram, so the joint score beats the sum
-        assert out[0].score == pytest.approx(lm.score_sequence(("a", "b", "c")))
-        assert out[0].score != pytest.approx(left[0].score + right[0].score)
+        assert out[("a", "b", "c")] == pytest.approx(lm.score_sequence(("a", "b", "c")))
+        assert out[("a", "b", "c")] != pytest.approx(left[("a", "b")] + right[("c",)])
 
 
     def test_into_a_pool_adds_only_new_tuples(self, lm):
@@ -106,8 +104,8 @@ class TestCombine:
             calls.append((tokens, start))
             return lm.score_sequence(tokens, start, total)
 
-        left = [ScoredPhrase(("a",), -1.0), ScoredPhrase(("b",), -1.0)]
-        right = [ScoredPhrase(("c",), -1.0), ScoredPhrase(("d", "a"), -1.0)]
+        left = {("a",): -1.0, ("b",): -1.0}
+        right = {("c",): -1.0, ("d", "a"): -1.0}
         pool = {("a", "c"): 0.5, ("d",): -2.0}
         assert cross_concat(left, right, score, pool) is pool
         # the pool's entry for ("a", "c") stays, the new tuples follow it, and
@@ -219,16 +217,20 @@ class TestCorrectDp:
             second = correct_dp(sentence, index, lm, lex, cfg)
             assert first.score_after >= first.score_before
             assert first.corrected == second.corrected
-            assert first.kbest == second.kbest
+            assert list(first.kbest.items()) == list(second.kbest.items())
 
     def test_kbest_cell_invariants(self):
+        # the k-best is the full span's map: best first, ties by tokens, and
+        # its first entry is the result
         rng = random.Random(18)
-        sentence, lm, index, _ = random_instance(rng, max_n=5)
-        cfg = SubstituterConfig(k=3, t_pool=10)
-        result = correct_dp(sentence, index, lm, {}, cfg)
-        assert 1 <= len(result.kbest) <= cfg.k
-        scores = [c.score for c in result.kbest]
-        assert scores == sorted(scores, reverse=True)
+        for t_pool in (10, 3, 10, 3, 10, 3):
+            sentence, lm, index, _ = random_instance(rng, max_n=5)
+            cfg = SubstituterConfig(k=3, t_pool=t_pool)
+            result = correct_dp(sentence, index, lm, {}, cfg)
+            assert 1 <= len(result.kbest) <= cfg.k
+            assert list(result.kbest.items()) == sorted(result.kbest.items(),
+                                                        key=lambda item: (-item[1], item[0]))
+            assert next(iter(result.kbest.items())) == (result.corrected, result.score_after)
 
     def test_empty_sentence_rejected(self):
         lm, docs, index = make_setup([("aa", "bb")])
@@ -279,6 +281,14 @@ class TestCorrectFixed:
         best = max(variants, key=lm.score_sequence)
         result = correct_fixed(phrase, lm, index, phrase_len=4)
         assert result.corrected == best
+
+    @pytest.mark.parametrize("sentence, guard", [
+        (("aa", "bb", "cc", "dd"), False), (("aa", "bb", "dd", "cc"), True)])
+    def test_kbest_is_the_result(self, sentence, guard):
+        lm, index = self.chain_setup()
+        result = correct_fixed(sentence, lm, index, phrase_len=4)
+        assert result.stats["guard_triggered"] is guard
+        assert list(result.kbest.items()) == [(result.corrected, result.score_after)]
 
     def test_short_remainder_passes_through(self):
         lm, index = self.chain_setup()

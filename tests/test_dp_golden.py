@@ -1,6 +1,7 @@
 """Byte-identity regression: ``phrasefix train-lm`` and ``build-index`` must
-keep writing the committed model and index, and ``correct --algorithm dp``
-the committed JSONL, with a synonym lexicon.
+keep writing the committed model and index, ``correct --algorithm dp`` the
+committed JSONL, with a synonym lexicon, and ``correct --algorithm fixed``
+its own committed JSONL.
 
 The committed ``tests/data/golden_dp.jsonl`` was written by the per-span
 stage-1 scorer that the per-sentence sweep replaced. Stage-1 ties are broken
@@ -10,7 +11,12 @@ list; ``golden_model.arpa`` and ``golden_phrases.idx`` pin every logprob,
 backoff and doc score, as the model and index were written before
 ``extract_phrases`` scored each n-gram from its prefix's score.
 
-To write the three files again from the ``phrasefix`` on the path:
+``golden_fixed.jsonl`` was written by the fixed-length baseline with
+``--phrase-len 5``: of its 12 records, 10 are rewritten and 2 kept by the
+guard, and its sentences need several recursive windows per phrase and
+leave trailing remainders that pass through.
+
+To write the four files again from the ``phrasefix`` on the path:
 
     python tests/test_dp_golden.py OUT_DIR
 """
@@ -30,22 +36,27 @@ LEXICON = DATA / "golden_lexicon.txt"
 GOLDEN = "golden_dp.jsonl"
 GOLDEN_MODEL = "golden_model.arpa"
 GOLDEN_INDEX = "golden_phrases.idx"
+GOLDEN_FIXED = "golden_fixed.jsonl"
 
 
 def correct_golden(tmp: Path, lexicon: Path = LEXICON) -> dict[str, bytes]:
     """Train an order-3 LM on the conftest grammar into ``tmp / GOLDEN_MODEL``,
     index it into ``tmp / GOLDEN_INDEX``, and correct the noisy fixture
-    sentences into ``tmp / GOLDEN``; the three files' bytes by name."""
+    sentences into ``tmp / GOLDEN`` (dp) and ``tmp / GOLDEN_FIXED`` (fixed);
+    the four files' bytes by name."""
     corpus = tmp / "corpus.txt"
     corpus.write_text("".join(" ".join(s) + "\n" for s in synth_corpus(300, seed=11)),
                       encoding="utf-8")
-    arpa, idx, path = tmp / GOLDEN_MODEL, tmp / GOLDEN_INDEX, tmp / GOLDEN
+    arpa, idx, path, fixed = (tmp / GOLDEN_MODEL, tmp / GOLDEN_INDEX, tmp / GOLDEN,
+                              tmp / GOLDEN_FIXED)
     assert main(["train-lm", "--corpus", str(corpus), "--order", "3", "--out", str(arpa)]) == 0
     assert main(["build-index", "--lm", str(arpa), "--out", str(idx)]) == 0
     assert main(["correct", "--in", str(NOISY), "--lm", str(arpa), "--index", str(idx),
                  "--lexicon", str(lexicon), "--algorithm", "dp",
                  "--k", "5", "--t-pool", "40", "--d-t", "3", "--out", str(path)]) == 0
-    return {p.name: p.read_bytes() for p in (arpa, idx, path)}
+    assert main(["correct", "--in", str(NOISY), "--lm", str(arpa), "--index", str(idx),
+                 "--algorithm", "fixed", "--phrase-len", "5", "--out", str(fixed)]) == 0
+    return {p.name: p.read_bytes() for p in (arpa, idx, path, fixed)}
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +84,12 @@ def test_dp_jsonl_is_byte_identical(produced):
 
 def test_styled_lexicon_gives_the_same_jsonl(produced_styled):
     assert produced_styled[GOLDEN] == (DATA / GOLDEN).read_bytes()
+
+
+def test_fixed_jsonl_is_byte_identical(produced):
+    expected = (DATA / GOLDEN_FIXED).read_bytes()
+    assert expected.count(b"\n") == len(NOISY.read_text(encoding="utf-8").splitlines())
+    assert produced[GOLDEN_FIXED] == expected
 
 
 @pytest.mark.parametrize("name", [GOLDEN_MODEL, GOLDEN_INDEX])

@@ -1,6 +1,7 @@
 """Property tests: arbitrary Unicode input through ``phrasefix correct``, the
 ARPA and index files read back what was written, and stage 1's column
-kernel scores every prefix of a phrase as the reference does."""
+kernel scores every prefix of a phrase as the reference does, and ``top_k``
+keeps the sorted slice of a map in its order."""
 
 import json
 
@@ -12,6 +13,7 @@ from phrasefix import (build_index, load_index, load_lexicon, parse_arpa, save_i
 from phrasefix.cli import main
 from phrasefix.distance import ALIGN_THRESHOLD, SpanScores, levenshtein, word_columns
 from phrasefix.phrase_index import PhraseDoc
+from phrasefix.substituter import top_k
 
 from conftest import synth_corpus
 from distance_oracle import reference_score
@@ -78,6 +80,20 @@ def test_index_round_trip(tmp_path, phrases):
     assert loaded.docs == docs
     assert loaded.postings == build_index(docs).postings
 
+
+
+# phrases over three words and scores from four values: many equal scores,
+# so the order rests on the tie break by tokens
+TIED_SCORES = st.dictionaries(st.lists(st.sampled_from("abc"), min_size=1, max_size=3).map(tuple),
+                              st.sampled_from([-2.0, -1.0, -0.5, 0.0]), max_size=12)
+
+
+@PROPERTY
+@given(scores=TIED_SCORES, k=st.integers(1, 8))
+def test_top_k_is_the_sorted_slice_in_order(scores, k):
+    best = top_k(scores, k)
+    assert len(best) <= k
+    assert list(best.items()) == sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 
 # words of 1-6 letters over two letters: many pairs within ALIGN_THRESHOLD,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from phrasefix import (ScoredPhrase, SubstituterConfig, build_index, find_best_subs,
+from phrasefix import (SubstituterConfig, build_index, find_best_subs,
                        find_k_best_common, levenshtein, load_lexicon, parse_arpa,
                        train_counts)
 from phrasefix import substituter
@@ -15,14 +15,14 @@ from distance_oracle import reference_score
 
 
 def whole_span(index, lm, lex, phrase, cfg):
-    """The candidate list of the span covering all of ``phrase``."""
+    """The candidate map of the span covering all of ``phrase``."""
     return find_best_subs(index, lm, lex, phrase, cfg)[(0, len(phrase) - 1)]
 
 
 def oracle_best_sub(docs, lm, lex, phrase, cfg):
     """Full-scan two-stage reference: brute-force retrieval, ranking by the
     component references' mean, then LM ranking and identity seeding as the
-    contract."""
+    contract, as (tokens, score) pairs, best first."""
     phrase = tuple(phrase)
     pool = []
     for doc in docs:
@@ -31,9 +31,9 @@ def oracle_best_sub(docs, lm, lex, phrase, cfg):
             continue
         pool.append((reference_score(phrase, doc.tokens, lex), doc))
     pool.sort(key=lambda item: (-item[0], item[1].tokens))
-    cand = {d.tokens: ScoredPhrase(d.tokens, d.lm_score) for _, d in pool[:cfg.t_pool]}
-    cand.setdefault(phrase, ScoredPhrase(phrase, lm.score_sequence(phrase)))
-    return sorted(cand.values(), key=lambda c: (-c.score, c.tokens))[:cfg.k]
+    cand = {d.tokens: d.lm_score for _, d in pool[:cfg.t_pool]}
+    cand.setdefault(phrase, lm.score_sequence(phrase))
+    return sorted(cand.items(), key=lambda item: (-item[1], item[0]))[:cfg.k]
 
 
 @pytest.fixture
@@ -84,17 +84,17 @@ class TestFindBestSub:
         lm, docs, index = toy_setup
         cfg = SubstituterConfig(k=6, t_pool=10)
         result = whole_span(index, lm, {}, ("the", "european", "union"), cfg)
-        assert ("the", "european", "union") in {c.tokens for c in result}
+        assert ("the", "european", "union") in result
 
     def test_toy_output_sorted_by_lm_score(self, toy_setup):
         lm, docs, index = toy_setup
         cfg = SubstituterConfig(k=5, t_pool=10)
         result = whole_span(index, lm, {}, ("europe", "extreme"), cfg)
         assert result
-        scores = [c.score for c in result]
+        scores = list(result.values())
         assert scores == sorted(scores, reverse=True)
-        assert result == oracle_best_sub(docs, lm, {},
-                                         ("europe", "extreme"), cfg)
+        assert list(result.items()) == oracle_best_sub(docs, lm, {},
+                                                       ("europe", "extreme"), cfg)
 
     def test_oracle_equivalence_on_random_instances(self):
         rng = random.Random(99)
@@ -110,9 +110,9 @@ class TestFindBestSub:
             cfg = SubstituterConfig(k=5, t_pool=rng.choice([5, 25]), d_t=rng.randint(1, 3))
             phrase = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
             got = whole_span(index, lm, lex, phrase, cfg)
-            assert got == oracle_best_sub(docs, lm, lex, phrase, cfg)
+            assert list(got.items()) == oracle_best_sub(docs, lm, lex, phrase, cfg)
             assert len(got) <= cfg.k
-            assert got  # identity seeding keeps the list non-empty
+            assert got  # identity seeding keeps the map non-empty
 
     def test_twenty_five_doc_instance_returns_exactly_k(self):
         rng = random.Random(4)
@@ -127,13 +127,13 @@ class TestFindBestSub:
         phrase = (vocab[0], vocab[1])
         got = whole_span(index, lm, {}, phrase, cfg)
         assert len(got) == 5
-        assert got == oracle_best_sub(docs, lm, {}, phrase, cfg)
+        assert list(got.items()) == oracle_best_sub(docs, lm, {}, phrase, cfg)
 
     def test_full_t_matches_oracle_exactly(self, toy_setup):
         lm, docs, index = toy_setup
         cfg = SubstituterConfig(k=4, t_pool=len(docs))
         phrase = ("extreme", "right")
-        assert whole_span(index, lm, {}, phrase, cfg) == \
+        assert list(whole_span(index, lm, {}, phrase, cfg).items()) == \
             oracle_best_sub(docs, lm, {}, phrase, cfg)
 
     def test_raising_t_only_displaces_with_better_scores(self, toy_setup):
@@ -142,10 +142,9 @@ class TestFindBestSub:
         phrase = ("europe", "extreme", "right")
         small = whole_span(index, lm, lex, phrase, SubstituterConfig(k=3, t_pool=3))
         large = whole_span(index, lm, lex, phrase, SubstituterConfig(k=3, t_pool=12))
-        large_tokens = {c.tokens for c in large}
-        for cand in small:
-            if cand.tokens not in large_tokens:
-                assert all(other.score >= cand.score for other in large)
+        for tokens, score in small.items():
+            if tokens not in large:
+                assert all(other >= score for other in large.values())
 
     def test_invalid_config(self):
         for bad in ({"k": 10, "t_pool": 5}, {"k": 0}, {"d_t": 0}):
@@ -162,7 +161,7 @@ class TestFindBestSub:
 
 class TestFindBestSubs:
     def test_every_cell_matches_full_scan_oracle(self, rank_branches):
-        # The per-sentence sweep must give each span exactly the list the
+        # The per-sentence sweep must give each span exactly the map the
         # full-scan reference gives it: same floats, same stage-1 cut.
         rng = random.Random(31)
         grew = repeats = 0
@@ -189,7 +188,8 @@ class TestFindBestSubs:
             cells = find_best_subs(index, lm, lex, sentence, cfg)
             assert sorted(cells) == [(i, j) for i in range(n) for j in range(i, n)]
             for (i, j), cell in cells.items():
-                assert cell == oracle_best_sub(docs, lm, lex, sentence[i:j + 1], cfg)
+                assert list(cell.items()) == oracle_best_sub(docs, lm, lex,
+                                                             sentence[i:j + 1], cfg)
                 if j > i and set(retrieve_any(index, sentence[i:j], cfg.d_t)) < \
                         set(retrieve_any(index, sentence[i:j + 1], cfg.d_t)):
                     grew += 1
@@ -212,12 +212,11 @@ class TestFindBestSubs:
         for phrase in (("abc",), ("abg",)):
             for t_pool in range(1, 6):
                 cfg = SubstituterConfig(k=min(5, t_pool), t_pool=t_pool)
-                assert whole_span(index, lm, {}, phrase, cfg) == \
+                assert list(whole_span(index, lm, {}, phrase, cfg).items()) == \
                     oracle_best_sub(docs, lm, {}, phrase, cfg)
         cfg = SubstituterConfig(k=3, t_pool=3)
-        assert whole_span(index, lm, {}, ("abc",), cfg) == [
-            ScoredPhrase(("abc",), -1.0), ScoredPhrase(("abd",), -2.0),
-            ScoredPhrase(("abe",), -3.0)]
+        assert list(whole_span(index, lm, {}, ("abc",), cfg).items()) == [
+            (("abc",), -1.0), (("abd",), -2.0), (("abe",), -3.0)]
         assert (False, "sort") in rank_branches
 
     def test_states_are_scored_only_past_t_pool(self, toy_setup, monkeypatch,
@@ -247,8 +246,8 @@ class TestFindBestSubs:
         assert rank_branches == [(True, "shortcut")] * 2 + [(False, "sort")] + \
             [(True, "shortcut")] * 3
         for (i, j), cell in lazy.items():
-            assert cell == oracle_best_sub(docs, lm, {}, sentence[i:j + 1], cfg)
-        assert cells[(0, 1)] == lazy[(0, 1)]
+            assert list(cell.items()) == oracle_best_sub(docs, lm, {}, sentence[i:j + 1], cfg)
+        assert list(cells[(0, 1)].items()) == list(lazy[(0, 1)].items())
 
     def test_interleaved_doc_lengths_match_oracle(self, rank_branches):
         # docid order is not extract_phrases' order by length (3, 1, 2, 3, 1,
@@ -265,7 +264,8 @@ class TestFindBestSubs:
                 cfg = SubstituterConfig(k=min(3, t_pool), t_pool=t_pool, d_t=d_t)
                 cells = find_best_subs(index, lm, lex, sentence, cfg)
                 for (i, j), cell in cells.items():
-                    assert cell == oracle_best_sub(docs, lm, lex, sentence[i:j + 1], cfg)
+                    assert list(cell.items()) == oracle_best_sub(docs, lm, lex,
+                                                             sentence[i:j + 1], cfg)
         assert set(rank_branches) == {(True, "shortcut"), (False, "sort")}
 
     def test_sentence_that_retrieves_nothing_keeps_only_identities(self, rank_branches):
@@ -279,20 +279,20 @@ class TestFindBestSubs:
         assert sorted(cells) == [(i, j) for i in range(3) for j in range(i, 3)]
         for (i, j), cell in cells.items():
             span = sentence[i:j + 1]
-            assert cell == [ScoredPhrase(span, lm.score_sequence(span))]
-            assert cell == oracle_best_sub(index.docs, lm, {}, span, cfg)
+            assert list(cell.items()) == [(span, lm.score_sequence(span))]
+            assert list(cell.items()) == oracle_best_sub(index.docs, lm, {}, span, cfg)
         assert rank_branches == []
 
     def test_identity_keeps_a_retrieved_docs_stored_score(self):
-        # the identity is appended after the pool and top_k keeps the first
-        # of equal token tuples, so the doc's stored 0.0 beats the LM's -1.301
+        # the identity is entered after the pool and a map keeps the first
+        # score of a token tuple, so the doc's stored 0.0 beats the LM's -1.301
         lm = parse_arpa("\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-0.301 a 0.0\n"
                         "-0.301 b 0.0\n\n\\2-grams:\n-1.0 a b\n\n\\end\\\n")
         assert lm.score_sequence(("a", "b")) == pytest.approx(-1.301)
         index = build_index([PhraseDoc(0, ("a", "b"), 0.0)])
         cfg = SubstituterConfig(k=5, t_pool=10)
         cell = find_best_subs(index, lm, {}, ("a", "b"), cfg)[(0, 1)]
-        assert [c for c in cell if c.tokens == ("a", "b")] == [ScoredPhrase(("a", "b"), 0.0)]
+        assert cell[("a", "b")] == 0.0
 
     def test_identity_outranked_in_the_pool_stays_out(self):
         # the doc "q" holds the span's tokens with a stored -5.0, below "x";
@@ -301,8 +301,8 @@ class TestFindBestSubs:
         lm = parse_arpa("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.301 q\n-0.301 x\n\n\\end\\\n")
         index = build_index([PhraseDoc(0, ("x",), -0.5), PhraseDoc(1, ("q",), -5.0)])
         cfg = SubstituterConfig(k=1, t_pool=10)
-        assert whole_span(index, lm, {}, ("q",), cfg) == [ScoredPhrase(("x",), -0.5)]
-        assert whole_span(index, lm, {}, ("q",), cfg) == \
+        assert list(whole_span(index, lm, {}, ("q",), cfg).items()) == [(("x",), -0.5)]
+        assert list(whole_span(index, lm, {}, ("q",), cfg).items()) == \
             oracle_best_sub(index.docs, lm, {}, ("q",), cfg)
 
     def test_empty_sentence_rejected(self, toy_setup):
