@@ -1,8 +1,8 @@
-"""Word- and phrase-level similarity: ``edit_distances``, the one
-edit-distance kernel, which retrieval calls once per query word and stage 1
-once per sentence (``levenshtein`` is one call of it for one pair), and the
-one kernel for the equally weighted mean of the orthographic (f1), synset
-(f2) and word-order (f3) components of a phrase P against phrases R.
+"""Word- and phrase-level similarity: ``edit_distances``, the one edit-distance
+kernel, which retrieval calls once per query word and stage 1 once per
+sentence, and the one kernel for the equally weighted mean of the
+orthographic (f1), synset (f2) and word-order (f3) components of a phrase P
+against phrases R.
 
 ``edit_distances`` packs its strings into one int, each in a field of the
 same power-of-two width, and keeps every lane's distance in a counter of
@@ -120,11 +120,6 @@ def edit_distances(words: Iterable[str],
             distances.byteswap()
         rows.append(distances[::stride].tolist())
     return rows
-
-
-def levenshtein(a: str, b: str) -> int:
-    """The edit distance of ``a`` and ``b``, by ``edit_distances``."""
-    return edit_distances((a,), (b,))[0][0]
 
 
 def word_columns(words: Collection[str], phrases: Sequence[Sequence[str]],

@@ -79,39 +79,20 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
     return prev[-1]
 
 
-def count_inversions(seq: Sequence[int]) -> int:
-    return sum(
-        1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-        if seq[i] > seq[j])
-
-
-def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str], mode: str,
-                  threshold: int):
-    """Word-order score of R against P after alignment.
-
-    rigid: 1 if the aligned R-indices are strictly increasing, else None.
-    lcs: LCS of the R-index sequence against its sorted order over pair count.
-    inversion: 1 / (1 + number of inversion pairs).
-    """
-    pairs = align(p_tokens, r_tokens, threshold)
-    seq = [j for _, j in pairs]
-    if mode == "rigid":
-        if not seq:
-            return None
-        ordered = all(seq[t] < seq[t + 1] for t in range(len(seq) - 1))
-        return 1.0 if ordered else None
+def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str],
+                  threshold: int) -> float:
+    """Word-order score of R against P after alignment: the LCS of the
+    aligned R-indices against their sorted order over the pair count, 0 if
+    no pair aligns."""
+    seq = [j for _, j in align(p_tokens, r_tokens, threshold)]
     if not seq:
         return 0.0
-    if mode == "lcs":
-        return lcs_length(seq, sorted(seq)) / len(seq)
-    if mode == "inversion":
-        return 1.0 / (1.0 + count_inversions(seq))
-    raise ValueError(f"unknown word-order mode {mode!r}")
+    return lcs_length(seq, sorted(seq)) / len(seq)
 
 
 def reference_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
                     lexicon: dict[str, frozenset[str]]) -> float:
     """Equally weighted mean of f1, f2 and the LCS word-order component."""
     parts = (f1_similarity(p_tokens, r_tokens), f2_synset(p_tokens, r_tokens, lexicon),
-             f3_word_order(p_tokens, r_tokens, "lcs", ALIGN_THRESHOLD))
+             f3_word_order(p_tokens, r_tokens, ALIGN_THRESHOLD))
     return sum((1.0 / 3) * v for v in parts)

@@ -656,6 +656,22 @@ class TestParser:
             assert argv[0] == "phrasefix"
             parser.parse_args(argv[1:])
 
+    def test_readme_library_example_runs(self, capsys):
+        # the README's "Library use" block imports only what the package
+        # exports and prints the corrected tuple, then one line per k-best entry
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        corpus = synth_corpus(200, seed=1)
+        noisy = evaluation.inject_noise(corpus[0], evaluation.NoiseSpec(seed=3, typo_char=1))
+        exec(block, {"corpus": corpus, "noisy_tokens": noisy})
+        lm = train_counts(corpus, order=4)
+        index = phrase_index.build_index(phrase_index.extract_phrases(lm, range(2, 5)))
+        result = correct_dp(noisy, index, lm, {}, SubstituterConfig(k=5, t_pool=200, d_t=3))
+        assert result.corrected != noisy
+        assert capsys.readouterr().out.splitlines() == \
+            [f"{result.corrected} {result.score_before} {result.score_after}"] + \
+            [f"{' '.join(tokens)} {score}" for tokens, score in result.kbest.items()]
+
     def test_tokenize_lowercases_and_strips_punctuation(self):
         assert tokenize("The cat, IS on the mat!") == \
             ("the", "cat", "is", "on", "the", "mat")

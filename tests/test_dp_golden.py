@@ -16,7 +16,12 @@ backoff and doc score, as the model and index were written before
 guard, and its sentences need several recursive windows per phrase and
 leave trailing remainders that pass through.
 
-To write the four files again from the ``phrasefix`` on the path:
+``golden_noise.txt`` is ``inject-noise`` with one edit of each kind per
+sentence over the first 60 sentences of the acceptance gate's held-out
+split, so that the noisy inputs every held-out measurement rests on stay
+the same.
+
+To write the five files again from the ``phrasefix`` on the path:
 
     python tests/test_dp_golden.py OUT_DIR
 """
@@ -37,6 +42,7 @@ GOLDEN = "golden_dp.jsonl"
 GOLDEN_MODEL = "golden_model.arpa"
 GOLDEN_INDEX = "golden_phrases.idx"
 GOLDEN_FIXED = "golden_fixed.jsonl"
+GOLDEN_NOISE = "golden_noise.txt"
 
 
 def correct_golden(tmp: Path, lexicon: Path = LEXICON) -> dict[str, bytes]:
@@ -57,6 +63,19 @@ def correct_golden(tmp: Path, lexicon: Path = LEXICON) -> dict[str, bytes]:
     assert main(["correct", "--in", str(NOISY), "--lm", str(arpa), "--index", str(idx),
                  "--algorithm", "fixed", "--phrase-len", "5", "--out", str(fixed)]) == 0
     return {p.name: p.read_bytes() for p in (arpa, idx, path, fixed)}
+
+
+def inject_golden(tmp: Path) -> dict[str, bytes]:
+    """Inject seeded noise with the fixture lexicon into
+    ``synth_corpus(60, seed=41)``, written to ``tmp / GOLDEN_NOISE``; its
+    bytes by name."""
+    clean, noisy = tmp / "clean.txt", tmp / GOLDEN_NOISE
+    clean.write_text("".join(" ".join(s) + "\n" for s in synth_corpus(60, seed=41)),
+                     encoding="utf-8")
+    assert main(["inject-noise", "--in", str(clean), "--seed", "42", "--swaps", "1",
+                 "--deletions", "1", "--substitutions", "1", "--typos", "1",
+                 "--lexicon", str(LEXICON), "--out", str(noisy)]) == 0
+    return {noisy.name: noisy.read_bytes()}
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +116,12 @@ def test_offline_output_is_byte_identical(produced, name):
     assert produced[name] == (DATA / name).read_bytes()
 
 
+def test_noise_is_byte_identical(tmp_path):
+    assert inject_golden(tmp_path)[GOLDEN_NOISE] == (DATA / GOLDEN_NOISE).read_bytes()
+
+
 if __name__ == "__main__":
     target = Path(sys.argv[1])
     target.mkdir(parents=True, exist_ok=True)
-    for name, data in correct_golden(target).items():
+    for name, data in {**correct_golden(target), **inject_golden(target)}.items():
         print(f"{name}: {len(data)} bytes")

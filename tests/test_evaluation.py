@@ -7,6 +7,7 @@ from phrasefix import (NoiseSpec, bleu, corpus_perplexity, inject_noise,
                        load_lexicon, modified_precision, parse_arpa, train_counts)
 
 from conftest import random_word
+from distance_oracle import levenshtein
 
 # the first reference of Papineni et al.'s (2002) worked examples
 CAT_REF = ("the", "cat", "is", "on", "the", "mat")
@@ -203,7 +204,6 @@ class TestInjectNoise:
         assert inject_noise(("aa",), spec) == ("zz",)
 
     def test_typo_changes_edit_distance_one(self):
-        from phrasefix import levenshtein
         rng = random.Random(6)
         for _ in range(50):
             s = tuple(random_word(rng, 3, 7) for _ in range(4))

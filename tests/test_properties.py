@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from phrasefix import (build_index, load_index, load_lexicon, parse_arpa, save_index,
                        serialize_arpa, tokenize, train_counts)
 from phrasefix.cli import main
-from phrasefix.distance import ALIGN_THRESHOLD, SpanScores, levenshtein, word_columns
+from phrasefix.distance import ALIGN_THRESHOLD, SpanScores, word_columns
 from phrasefix.phrase_index import PhraseDoc
 from phrasefix.substituter import top_k
 
 from conftest import synth_corpus
-from distance_oracle import reference_score
+from distance_oracle import levenshtein, reference_score
 
 # derandomized, so a run is repeatable; examples bounded to keep tier-1 fast;
 # the files a test writes under its tmp_path are rewritten by each example

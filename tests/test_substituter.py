@@ -4,14 +4,13 @@ import random
 import pytest
 
 from phrasefix import (SubstituterConfig, build_index, find_best_subs,
-                       find_k_best_common, levenshtein, load_lexicon, parse_arpa,
-                       train_counts)
+                       find_k_best_common, load_lexicon, parse_arpa, train_counts)
 from phrasefix import substituter
 from phrasefix.distance import SpanScores
 from phrasefix.phrase_index import PhraseDoc
 
 from conftest import random_word, retrieve_any
-from distance_oracle import reference_score
+from distance_oracle import levenshtein, reference_score
 
 
 def whole_span(index, lm, lex, phrase, cfg):
