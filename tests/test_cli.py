@@ -663,10 +663,9 @@ class TestParser:
         block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
         corpus = synth_corpus(200, seed=1)
         noisy = evaluation.inject_noise(corpus[0], evaluation.NoiseSpec(seed=3, typo_char=1))
-        exec(block, {"corpus": corpus, "noisy_tokens": noisy})
-        lm = train_counts(corpus, order=4)
-        index = phrase_index.build_index(phrase_index.extract_phrases(lm, range(2, 5)))
-        result = correct_dp(noisy, index, lm, {}, SubstituterConfig(k=5, t_pool=200, d_t=3))
+        namespace = {"corpus": corpus, "noisy_tokens": noisy}
+        exec(block, namespace)
+        result = namespace["result"]
         assert result.corrected != noisy
         assert capsys.readouterr().out.splitlines() == \
             [f"{result.corrected} {result.score_before} {result.score_after}"] + \
