@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import evaluation, lm as lm_mod, phrase_index
-from .corrector import CorrectionResult, correct_dp, correct_fixed
+from .corrector import correct_dp, correct_fixed
 from .lexicon import load_lexicon
 from .substituter import SubstituterConfig
 
@@ -36,7 +36,7 @@ def _read_sentences(path):
 
 def _load(read, path):
     """``read`` applied to ``path`` opened as strict UTF-8. A ``ValueError``
-    (an ``ArpaParseError``, an undecodable byte) is re-raised naming the file."""
+    (a bad line, an undecodable byte) is re-raised naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return read(fh)
@@ -45,7 +45,7 @@ def _load(read, path):
 
 
 def _open_out(path):
-    if path is None or path == "-":
+    if path == "-":
         # leave stdout open for the caller
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
@@ -82,14 +82,14 @@ def cmd_train_lm(args) -> int:
 
 
 def cmd_build_index(args) -> int:
+    if args.out == "-":
+        return _usage_error("build-index --out must name a file, not - (stdout)")
     try:
         orders = [int(x) for x in args.orders.split(",")] if args.orders is not None else None
     except ValueError:
         return _usage_error(f"--orders must be comma-separated integers, got {args.orders!r}")
     with _collector_paused():
         model = _load(lm_mod.parse_arpa, args.lm)
-        if orders is None:
-            orders = list(range(2, model.order + 1)) or [1]
         try:
             docs = phrase_index.extract_phrases(model, orders)
         except ValueError as exc:  # orders outside 1..model order
@@ -150,9 +150,7 @@ def cmd_correct(args) -> int:
     try:
         with _open_out(args.out) as fh:
             for sent in sentences:
-                # a line without words passes through, keeping records line-aligned
-                result = correct(sent) if sent else CorrectionResult((), (), 0.0, 0.0, {}, {})
-                fh.write(json.dumps(result.to_record()) + "\n")
+                fh.write(json.dumps(correct(sent).to_record()) + "\n")
     finally:
         gc.unfreeze()
     return EXIT_OK
@@ -210,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-index", help="build the phrase index from an ARPA LM")
     p.add_argument("--lm", required=True)
     p.add_argument("--orders", default=None,
-                   help="comma-separated n-gram orders (default 2..N)")
+                   help="comma-separated n-gram orders (default 2..N, or 1 for a unigram model)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_index)
 

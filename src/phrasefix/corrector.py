@@ -61,11 +61,11 @@ def correct_dp(sentence: Sequence[str], index: PhraseIndex, lm: LanguageModel,
     cells of each split point that the map does not hold yet. Each is
     rescored as a whole phrase through an LM memo that lives for this call,
     and the map is truncated back to k. The first entry of the full-span
-    cell wins.
+    cell wins. A sentence without words passes through, with no stats.
     """
     tokens = tuple(sentence)
     if not tokens:
-        raise ValueError("cannot correct an empty sentence")
+        return CorrectionResult((), (), 0.0, 0.0, {}, {})
     n = len(tokens)
     cells = find_best_subs(index, lm, lexicon, tokens, config)
     stats = {"split_evals": 0, "sub_calls": len(cells)}
@@ -100,13 +100,14 @@ def correct_fixed(sentence: Sequence[str], lm: LanguageModel,
 
     A trailing phrase shorter than ``phrase_len`` passes through unchanged.
     Candidate lists per window are capped at CANDIDATE_CAP to keep the
-    exponential recursion runnable.
+    exponential recursion runnable. A sentence without words passes
+    through, with no stats.
     """
     tokens = tuple(sentence)
-    if not tokens:
-        raise ValueError("cannot correct an empty sentence")
     if phrase_len < lm.order:
         raise ValueError(f"phrase length {phrase_len} below model order {lm.order}")
+    if not tokens:
+        return CorrectionResult((), (), 0.0, 0.0, {}, {})
 
     n = lm.order
     substituted_any = False

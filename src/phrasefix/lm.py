@@ -19,14 +19,6 @@ def tokenize(line: str) -> tuple[str, ...]:
     return tuple(_NON_WORD.sub(" ", line.lower()).split())
 
 
-class ArpaParseError(ValueError):
-    """Malformed ARPA input; the message names the offending line."""
-
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 class LanguageModel:
     """Immutable n-gram model scored in log10 space with backoff.
 
@@ -77,9 +69,9 @@ def _finite(field: str, what: str, line_no: int) -> float:
     try:
         value = float(field)
     except ValueError:
-        raise ArpaParseError(f"non-numeric {what} {field!r}", line_no) from None
+        raise ValueError(f"line {line_no}: non-numeric {what} {field!r}") from None
     if not math.isfinite(value):
-        raise ArpaParseError(f"non-finite {what} {field!r}", line_no)
+        raise ValueError(f"line {line_no}: non-finite {what} {field!r}")
     return value
 
 
@@ -91,8 +83,9 @@ def parse_arpa(text) -> LanguageModel:
     of which the k-th must declare order k.
     From the first section header on, ``tables`` is not empty, ``n`` is the
     order of the section being read, and its entries are the lines that do
-    not start with a backslash. Every error names its line: a repeated
-    entry its second line, a missing section the ``\\end\\`` line.
+    not start with a backslash. Every error is a ``ValueError`` that names
+    its line, ``line N: ...``: a repeated entry its second line, a missing
+    section the ``\\end\\`` line.
     """
     declared: dict[int, int] = {}
     tables: dict[int, dict[tuple[str, ...], tuple[float, float]]] = {}
@@ -101,14 +94,15 @@ def parse_arpa(text) -> LanguageModel:
 
     def end_section(at):
         if tables and len(table) != declared[n]:
-            raise ArpaParseError(f"declared {declared[n]} {n}-grams but parsed {len(table)}", at)
+            raise ValueError(f"line {at}: declared {declared[n]} {n}-grams "
+                             f"but parsed {len(table)}")
 
     for line_no, line in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
         line = line.strip()
         if tables and line and line[0] != "\\":
             fields = line.split()
             if len(fields) not in (n + 1, n + 2):
-                raise ArpaParseError(f"expected {n}-gram entry, got {line!r}", line_no)
+                raise ValueError(f"line {line_no}: expected {n}-gram entry, got {line!r}")
             try:
                 logprob = float(fields[0])
                 backoff = float(fields[-1]) if len(fields) == n + 2 else 0.0
@@ -121,37 +115,37 @@ def parse_arpa(text) -> LanguageModel:
                 backoff = _finite(fields[-1], "backoff", line_no) if len(fields) == n + 2 else 0.0
             gram, entry = tuple(fields[1:n + 1]), (logprob, backoff)
             if table.setdefault(gram, entry) is not entry:
-                raise ArpaParseError(f"repeated {n}-gram {' '.join(gram)!r}", line_no)
+                raise ValueError(f"line {line_no}: repeated {n}-gram {' '.join(gram)!r}")
         elif n is None or not line:  # before \data\, or a blank line
             if line == "\\data\\":
                 n = 0
         elif not tables and (m := re.fullmatch(r"ngram\s+(\d+)\s*=\s*(\d+)", line)):
             if int(m[1]) != len(declared) + 1:
-                raise ArpaParseError(f"ngram {m[1]} count out of sequence, "
-                                     f"expected ngram {len(declared) + 1}", line_no)
+                raise ValueError(f"line {line_no}: ngram {m[1]} count out of sequence, "
+                                 f"expected ngram {len(declared) + 1}")
             declared[int(m[1])] = int(m[2])
         elif not declared:
-            raise ArpaParseError("no ngram count declarations after \\data\\", line_no)
+            raise ValueError(f"line {line_no}: no ngram count declarations after \\data\\")
         else:
             end_section(line_no - 1)
             if line == "\\end\\":
                 break
             m = re.fullmatch(r"\\(\d+)-grams:", line)
             if m is None:
-                raise ArpaParseError(f"unexpected content {line!r}", line_no)
+                raise ValueError(f"line {line_no}: unexpected content {line!r}")
             n = int(m[1])
             if n != len(tables) + 1 or n > len(declared):
-                raise ArpaParseError(f"{n}-gram section out of sequence", line_no)
+                raise ValueError(f"line {line_no}: {n}-gram section out of sequence")
             table = tables[n] = {}
     else:
         if n is None:
-            raise ArpaParseError("missing \\data\\ header", line_no)
+            raise ValueError(f"line {line_no}: missing \\data\\ header")
         if not declared:
-            raise ArpaParseError("no ngram count declarations after \\data\\", line_no + 1)
+            raise ValueError(f"line {line_no + 1}: no ngram count declarations after \\data\\")
         end_section(line_no)
-        raise ArpaParseError("missing \\end\\ marker", line_no)
+        raise ValueError(f"line {line_no}: missing \\end\\ marker")
     if len(tables) != len(declared):
-        raise ArpaParseError(f"missing \\{len(tables) + 1}-grams: section", line_no)
+        raise ValueError(f"line {line_no}: missing \\{len(tables) + 1}-grams: section")
     return LanguageModel(tables)
 
 

@@ -32,8 +32,9 @@ class PhraseDoc(NamedTuple):
     lm_score: float
 
 
-def extract_phrases(lm: LanguageModel, orders: Iterable[int]) -> list[PhraseDoc]:
+def extract_phrases(lm: LanguageModel, orders: Iterable[int] | None = None) -> list[PhraseDoc]:
     """One PhraseDoc per stored n-gram of a selected order, scored by the LM.
+    The orders default to 2..N, or 1 for a unigram model.
 
     A stored n-gram's score continues its stored (n-1)-word prefix's score
     by its own logprob, the float ``lm.score_sequence`` gives it, so the
@@ -41,6 +42,8 @@ def extract_phrases(lm: LanguageModel, orders: Iterable[int]) -> list[PhraseDoc]
     n-gram whose prefix is not stored, as a hand-written model may have, is
     scored by ``score_sequence``; ``train_counts`` stores every prefix.
     """
+    if orders is None:
+        orders = range(min(2, lm.order), lm.order + 1)
     chosen = sorted(set(orders))
     if not chosen:
         raise ValueError("no n-gram orders selected")

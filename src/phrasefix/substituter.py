@@ -50,8 +50,6 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
     ``values`` pass scores each cell's pool.
     """
     tokens = tuple(sentence)
-    if not tokens:
-        raise ValueError("empty sentence")
     docs = index.docs
     hits = {w: index.retrieve(w, config.d_t) for w in set(tokens)}
     # a doc read by position, (docid, tokens, lm_score), is cheaper than by

@@ -7,10 +7,6 @@ import itertools
 from phrasefix import find_best_subs
 
 
-def span_candidates(tokens, index, lm, lexicon, config):
-    return find_best_subs(index, lm, lexicon, tokens, config)
-
-
 def segmentations(n):
     """All ways to cut positions 0..n-1 into contiguous segments."""
     for mask in range(1 << (n - 1)):
@@ -36,7 +32,7 @@ def enumeration_cost(tokens, candidates):
 
 def exhaustive_best_score(tokens, index, lm, lexicon, config, candidates=None):
     if candidates is None:
-        candidates = span_candidates(tokens, index, lm, lexicon, config)
+        candidates = find_best_subs(index, lm, lexicon, tokens, config)
     memo = {}
     best = None
     for segs in segmentations(len(tokens)):

@@ -11,7 +11,7 @@ import pytest
 
 from phrasefix import (NoiseSpec, SubstituterConfig,
                        build_index, corpus_perplexity, correct_dp, correct_fixed,
-                       extract_phrases, find_k_best_common, inject_noise,
+                       extract_phrases, find_best_subs, find_k_best_common, inject_noise,
                        modified_precision, parse_arpa, train_counts)
 from phrasefix.corrector import cross_concat
 from phrasefix.distance import edit_distances
@@ -21,7 +21,7 @@ from distance_oracle import levenshtein as reference_levenshtein
 from phrasefix.phrase_index import PhraseDoc
 
 from conftest import random_word, synth_corpus
-from dp_oracle import enumeration_cost, exhaustive_best_score, span_candidates
+from dp_oracle import enumeration_cost, exhaustive_best_score
 
 # Strict-improvement rate measured once on the fixed synthetic suite below
 # (observed 200/200) and pinned; the contract floor is 0.30.
@@ -73,7 +73,7 @@ def test_dp_matches_exhaustive_oracle():
     checked = 0
     while checked < 200:
         sentence, lm, index, cfg = _random_dp_instance(rng)
-        cands = span_candidates(sentence, index, lm, lex, cfg)
+        cands = find_best_subs(index, lm, lex, sentence, cfg)
         if enumeration_cost(sentence, cands) > 40000:
             continue
         oracle = exhaustive_best_score(sentence, index, lm, lex, cfg, cands)

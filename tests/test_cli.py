@@ -148,6 +148,13 @@ class TestBuildIndex:
                          "orders 9": [("parse_arpa", False), ("extract_phrases", False)],
                          "corrupt model": [("parse_arpa", False)]}[case]
 
+    def test_stdout_out_is_usage_error_before_reading(self, tmp_path, monkeypatch, capsys):
+        # "-" is stdout for the other commands; an index is only ever a file
+        monkeypatch.chdir(tmp_path)
+        assert main(["build-index", "--lm", str(tmp_path / "nope.arpa"), "--out", "-"]) == 1
+        assert not (tmp_path / "-").exists()
+        assert "--out must name a file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("orders", ["0", "2,4"])
     def test_orders_outside_model_order_are_usage_error(self, workspace, orders):
         tmp, corpus, _ = workspace
@@ -265,6 +272,25 @@ class TestCorrect:
         if tied != ["cat", "mat", "sat"]:  # not an AssertionError: the fixture itself broke
             pytest.fail(f"the identity no longer ties the best candidates: {record['kbest']}")
         assert record["corrected"] == record["original"]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the stale-index FOUND in CHANGES.md, ROADMAP item 16: correct does not check "
+        "that the index was built from the model, so a record claims a score the "
+        "model does not give its output"))
+    def test_index_from_another_model_is_data_error(self, tmp_path, capsys):
+        c2, c3, inp = tmp_path / "c2.txt", tmp_path / "c3.txt", tmp_path / "in.txt"
+        m2, m3, p3 = tmp_path / "m2.arpa", tmp_path / "m3.arpa", tmp_path / "p3.idx"
+        write_lines(c2, [s.split() for s in ("the cat sat on the mat", "the dog sat on the rug")])
+        write_lines(c3, [s.split() for s in ("a bird flew over the house",
+                                             "the bird sat on the roof")])
+        inp.write_text("the cat sat\n", encoding="utf-8")
+        for corpus, model in ((c2, m2), (c3, m3)):
+            assert main(["train-lm", "--corpus", str(corpus), "--out", str(model)]) == 0
+        assert main(["build-index", "--lm", str(m3), "--out", str(p3)]) == 0
+        capsys.readouterr()
+        assert main(["correct", "--in", str(inp), "--lm", str(m2), "--index", str(p3),
+                     "--out", str(tmp_path / "out.jsonl")]) == 2
+        assert f"phrasefix: {p3}: " in capsys.readouterr().err
 
     def test_default_options_build_the_default_config(self, workspace, monkeypatch):
         tmp, corpus, sentences = workspace

@@ -5,13 +5,13 @@ import weakref
 import pytest
 
 from phrasefix import (SubstituterConfig, build_index, correct_dp, correct_fixed,
-                       extract_phrases, find_k_best_common, train_counts)
+                       extract_phrases, find_best_subs, find_k_best_common, train_counts)
 from phrasefix.corrector import cross_concat
 from phrasefix.substituter import top_k
 from phrasefix.phrase_index import PhraseDoc
 
 from conftest import random_word
-from dp_oracle import exhaustive_best_score, span_candidates
+from dp_oracle import exhaustive_best_score
 
 UNBOUNDED = 10 ** 9
 
@@ -201,7 +201,7 @@ class TestCorrectDp:
         for _ in range(8):
             sentence, lm, index, cfg = random_instance(rng, max_n=5)
             lex = {}
-            candidates = span_candidates(sentence, index, lm, lex, cfg)
+            candidates = find_best_subs(index, lm, lex, sentence, cfg)
             oracle = exhaustive_best_score(sentence, index, lm, lex, cfg, candidates)
             pruned = SubstituterConfig(k=2, t_pool=cfg.t_pool, d_t=cfg.d_t)
             result = correct_dp(sentence, index, lm, lex, pruned)
@@ -232,12 +232,17 @@ class TestCorrectDp:
                                                         key=lambda item: (-item[1], item[0]))
             assert next(iter(result.kbest.items())) == (result.corrected, result.score_after)
 
-    def test_empty_sentence_rejected(self):
+    def test_empty_sentence_passes_through(self):
+        # a line without words keeps the records line-aligned, with no stats;
+        # the fixed baseline checks its phrase length first
         lm, docs, index = make_setup([("aa", "bb")])
-        with pytest.raises(ValueError, match="empty sentence"):
-            correct_dp((), index, lm, {}, SubstituterConfig())
-        with pytest.raises(ValueError, match="empty sentence"):
-            correct_fixed((), lm, index, phrase_len=2)
+        for result in (correct_dp((), index, lm, {}, SubstituterConfig()),
+                       correct_fixed((), lm, index, phrase_len=2)):
+            assert result.to_record() == {"original": "", "corrected": "",
+                                          "score_before": 0.0, "score_after": 0.0,
+                                          "kbest": [], "stats": {}}
+        with pytest.raises(ValueError, match="phrase length 1 below model order 2"):
+            correct_fixed((), lm, index, phrase_len=1)
 
 
 class TestCorrectFixed:

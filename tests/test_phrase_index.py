@@ -85,6 +85,13 @@ class TestExtractPhrases:
         assert len(docs) == sum(len(t) for t in model.tables.values())
         assert calls == []
 
+    def test_default_orders(self):
+        # 2..N, or 1 for a unigram model
+        sentences = synth_corpus(20, seed=4)
+        for order, orders in [(1, {1}), (2, {2}), (4, {2, 3, 4})]:
+            model = train_counts(sentences, order)
+            assert extract_phrases(model) == extract_phrases(model, orders)
+
     def test_empty_selection(self, lm):
         with pytest.raises(ValueError):
             extract_phrases(lm, set())

@@ -304,10 +304,9 @@ class TestFindBestSubs:
         assert list(whole_span(index, lm, {}, ("q",), cfg).items()) == \
             oracle_best_sub(index.docs, lm, {}, ("q",), cfg)
 
-    def test_empty_sentence_rejected(self, toy_setup):
+    def test_empty_sentence_has_no_cells(self, toy_setup):
         lm, docs, index = toy_setup
-        with pytest.raises(ValueError):
-            find_best_subs(index, lm, {}, (), SubstituterConfig())
+        assert find_best_subs(index, lm, {}, (), SubstituterConfig()) == {}
 
 
 class TestFindKBestCommon:
