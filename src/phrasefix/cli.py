@@ -35,10 +35,11 @@ def _read_sentences(path):
 
 
 def _load(read, path):
-    """``read`` applied to ``path`` opened as strict UTF-8. A ``ValueError``
-    (a bad line, an undecodable byte) is re-raised naming the file."""
+    """``read`` applied to ``path`` opened as strict UTF-8, a leading
+    byte-order mark dropped. A ``ValueError`` (a bad line, an undecodable
+    byte) is re-raised naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return read(fh)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

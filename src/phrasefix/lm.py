@@ -25,14 +25,15 @@ class LanguageModel:
     ``tables`` maps each n-gram length, up to the order, to a dict from token
     tuple to a ``(logprob, backoff)`` pair. Both are log10; the logprob is
     <= 0 for trained models, and the backoff is 0.0 when the file gives
-    none. Unknown unigrams score ``OOV_LOGPROB``.
+    none. Unknown unigrams score ``OOV_LOGPROB``. The model holds a table
+    for every length 1..order: a length the caller left out has no n-grams.
     """
 
     def __init__(self, tables: dict[int, dict[tuple[str, ...], tuple[float, float]]]):
         self.order = max(tables, default=0)
         if self.order < 1:
             raise ValueError("model order must be >= 1")
-        self.tables = tables
+        self.tables = {n: tables.get(n, {}) for n in range(1, self.order + 1)}
 
     def _score_gram(self, gram: tuple[str, ...]) -> float:
         """log10 P(gram[-1] | gram[:-1]) for a gram of at most ``order`` words."""
@@ -40,12 +41,12 @@ class LanguageModel:
         penalty = 0.0
         while True:
             n = len(gram)
-            entry = tables.get(n, {}).get(gram)
+            entry = tables[n].get(gram)
             if entry is not None:
                 return penalty + entry[0]
             if n == 1:
                 return penalty + OOV_LOGPROB
-            ctx = tables.get(n - 1, {}).get(gram[:-1])
+            ctx = tables[n - 1].get(gram[:-1])
             if ctx is not None:
                 penalty += ctx[1]
             gram = gram[1:]
@@ -152,14 +153,13 @@ def parse_arpa(text) -> LanguageModel:
 def serialize_arpa(lm: LanguageModel) -> str:
     """Emit the model in ARPA layout, tab-separated, orders ascending."""
     out = ["\\data\\"]
-    orders = sorted(lm.tables)
-    for n in orders:
-        out.append(f"ngram {n}={len(lm.tables[n])}")
+    for n, table in lm.tables.items():
+        out.append(f"ngram {n}={len(table)}")
     out.append("")
-    for n in orders:
+    for n, table in lm.tables.items():
         out.append(f"\\{n}-grams:")
-        for gram in sorted(lm.tables[n]):
-            logprob, backoff = lm.tables[n][gram]
+        for gram in sorted(table):
+            logprob, backoff = table[gram]
             line = f"{logprob!r}\t" + " ".join(gram)
             if n < lm.order:
                 line += f"\t{backoff!r}"

@@ -53,7 +53,7 @@ def extract_phrases(lm: LanguageModel, orders: Iterable[int] | None = None) -> l
     docs = []
     scores = {(): 0.0}
     for n in range(1, chosen[-1] + 1):
-        table, prefixes, scores = lm.tables.get(n, {}), scores, {}
+        table, prefixes, scores = lm.tables[n], scores, {}
         for gram, (logprob, _) in table.items():
             prefix = prefixes.get(gram[:-1])
             scores[gram] = lm.score_sequence(gram) if prefix is None else prefix + logprob
@@ -127,8 +127,9 @@ def _bigrams(word: str) -> Iterator[str]:
 
 
 def build_index(docs: Sequence[PhraseDoc]) -> PhraseIndex:
-    """Index ``docs``, whose docids must be their positions 0..M-1 and no
-    two of which may hold the same tokens.
+    """Index ``docs``, whose docids must be their positions 0..M-1, each
+    with tokens and a finite score, and no two with the same tokens. These
+    are all the doc rules, checked here only; an error names the doc.
 
     Docs are visited in docid order, so each postings list is built sorted
     and duplicate-free by appending a docid unless it is already last.
@@ -137,12 +138,15 @@ def build_index(docs: Sequence[PhraseDoc]) -> PhraseIndex:
     # the peak of a load by 0.8 MB on a 50k-doc index
     _reject_duplicate_tokens(docs)
     postings: dict[str, list[int]] = {}
-    for i, (docid, tokens, _) in enumerate(docs):
+    isfinite = math.isfinite
+    for i, (docid, tokens, lm_score) in enumerate(docs):
         if docid != i:
             raise ValueError(f"doc at position {i} has docid {docid}; "
                              "docids must be 0..M-1 in order")
         if not tokens:
             raise ValueError(f"doc {docid} has no tokens")
+        if not isfinite(lm_score):
+            raise ValueError(f"doc {docid} has non-finite score {lm_score!r}")
         for word in tokens:
             ids = postings.get(word)
             if ids is None:
@@ -165,18 +169,14 @@ def save_index(index: PhraseIndex, path):
     of the benchmark (``perfbench/checks.py``) requires the section; dropping
     it is a format change (v2) that waits for that reader to change.
 
-    ``load_index`` splits doc tokens on whitespace and needs finite scores,
-    so a postings word that is empty or holds whitespace, or a non-finite
-    doc score, is a ``ValueError`` before the file is opened. Its docs hold
-    distinct tokens, as ``build_index`` checked.
+    ``load_index`` splits doc tokens on whitespace, so a postings word that
+    is empty or holds whitespace is a ``ValueError`` before the file is
+    opened. Every other doc rule is ``build_index``'s, which made ``index``.
     """
     for word in index.postings:
         if word.split() != [word]:
             raise ValueError(f"cannot save the word {word!r}: an index word must be "
                              "non-empty and hold no whitespace")
-    for docid, _, lm_score in index.docs:
-        if not math.isfinite(lm_score):
-            raise ValueError(f"cannot save doc {docid}: non-finite score {lm_score!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_MAGIC}\t{_VERSION}\n")
         fh.write(f"docs\t{len(index.docs)}\n")
@@ -191,12 +191,12 @@ def save_index(index: PhraseIndex, path):
 def load_index(path) -> PhraseIndex:
     """Read the docs section of an index file and index them with
     ``build_index``; the stored postings are not read. Every error names
-    the file and, where it is a line's, the line; two docs with the same
-    tokens are ``build_index``'s error, named by docid."""
+    the file. A line that does not parse is named by its line; a doc that
+    breaks a doc rule is ``build_index``'s error, named by its docid (doc N
+    is on line N + 3)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if header[:1] != [_MAGIC] or len(header) != 2 or header[1] != _VERSION:
+            if fh.readline().rstrip("\n").split("\t") != [_MAGIC, _VERSION]:
                 raise ValueError("not a phrasefix index file")
             line = fh.readline()
             kind, _, count = line.rstrip("\n").partition("\t")
@@ -204,22 +204,16 @@ def load_index(path) -> PhraseIndex:
                 raise ValueError(f"line 2: expected 'docs<TAB>count' with a count >= 0, "
                                  f"got {line!r}")
             docs = []
-            make, isfinite = PhraseDoc._make, math.isfinite
+            make = PhraseDoc._make
             for line_no in range(3, 3 + int(count)):
                 line = fh.readline()
                 try:
                     docid, score, tokens = line.rstrip("\n").split("\t")
-                    doc = make((int(docid), tuple(tokens.split()), float(score)))
-                    if doc[0] != len(docs) or not doc[1]:
-                        raise ValueError
+                    docs.append(make((int(docid), tuple(tokens.split()), float(score))))
                 except ValueError:
                     raise ValueError(f"line {line_no}: expected doc {len(docs)} of "
                                      f"{count} as 'docid<TAB>score<TAB>tokens', "
                                      f"got {line!r}") from None
-                if not isfinite(doc[2]):
-                    raise ValueError(f"line {line_no}: doc {docid} has non-finite "
-                                     f"score {score!r}")
-                docs.append(doc)
             line = fh.readline()
             if not line.startswith("postings\t"):
                 raise ValueError(f"line {3 + len(docs)}: expected the postings header "

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from phrasefix import (NoiseSpec, SubstituterConfig,
+from phrasefix import (NoiseSpec, SubstituterConfig, bleu,
                        build_index, corpus_perplexity, correct_dp, correct_fixed,
                        extract_phrases, find_best_subs, find_k_best_common, inject_noise,
                        modified_precision, parse_arpa, train_counts)
@@ -91,28 +91,53 @@ def test_dp_matches_exhaustive_oracle():
 
 
 @pytest.fixture(scope="module")
-def noisy_suite(synth_lm, synth_index):
-    clean = synth_corpus(200, seed=41)
+def held_out():
+    return synth_corpus(200, seed=41)
+
+
+@pytest.fixture(scope="module")
+def noisy_suite(held_out):
     spec = NoiseSpec(seed=42, swap_adjacent=1, typo_char=1)
-    return [inject_noise(s, spec) for s in clean]
+    return [inject_noise(s, spec) for s in held_out]
 
 
-def test_never_worse_with_strict_improvement(synth_lm, synth_index, noisy_suite):
-    cfg = SubstituterConfig(k=5, t_pool=200)
-    lex = {}
-    improved = 0
+@pytest.fixture(scope="module")
+def dp_corrections(synth_lm, synth_index, noisy_suite):
+    """``correct_dp`` at the default config on each noisy sentence, and the
+    seconds the calls took."""
+    cfg = SubstituterConfig()
     start = time.perf_counter()
-    for sentence in noisy_suite:
-        result = correct_dp(sentence, synth_index, synth_lm, lex, cfg)
+    results = [correct_dp(s, synth_index, synth_lm, {}, cfg) for s in noisy_suite]
+    return results, time.perf_counter() - start
+
+
+def test_never_worse_with_strict_improvement(dp_corrections):
+    results, elapsed = dp_corrections
+    improved = 0
+    for result in results:
         assert result.score_after >= result.score_before - 1e-9
         if result.score_after > result.score_before + 1e-9:
             improved += 1
-    elapsed = time.perf_counter() - start
-    rate = improved / len(noisy_suite)
+    rate = improved / len(results)
     with criterion(f"never-worse on 200 noisy sentences, {rate:.0%} strictly "
                    f"improved (floor {PINNED_IMPROVEMENT_FLOOR:.0%}) in {elapsed:.1f}s"):
         assert rate >= PINNED_IMPROVEMENT_FLOOR >= 0.30
         assert elapsed < 60.0
+
+
+def test_output_quality_figures(held_out, noisy_suite, dp_corrections):
+    # the README's "Output quality" baseline: at its defaults dp shortens
+    # every sentence, so BLEU against the clean references falls to 0
+    corrected = [r.corrected for r in dp_corrections[0]]
+    before, after = bleu(noisy_suite, held_out), bleu(corrected, held_out)
+    kept, total = sum(map(len, corrected)), sum(map(len, held_out))
+    with criterion(f"held-out BLEU {before:.4f} -> {after:.3f}, {kept} of {total} "
+                   f"reference tokens (length ratio {kept / total:.4f})"):
+        assert (round(before, 4), after) == (0.3711, 0.0)
+        assert (kept, total) == (431, 1528)  # length ratio 0.2821
+        example = tuple("the discussed commisksion the trade agreement".split())
+        assert {r.corrected for r in dp_corrections[0] if r.original == example} == \
+            {("the", "trade")}
 
 
 def test_fixed_baseline_null_behavior(synth_lm, synth_index, noisy_suite):

@@ -155,6 +155,13 @@ class TestBuildIndex:
         assert not (tmp_path / "-").exists()
         assert "--out must name a file" in capsys.readouterr().err
 
+    def test_model_with_a_byte_order_mark_builds_the_same_index(self, tmp_path):
+        data = Path(__file__).resolve().parent / "data"
+        arpa, idx = tmp_path / "model.arpa", tmp_path / "phrases.idx"
+        arpa.write_bytes(b"\xef\xbb\xbf" + (data / "golden_model.arpa").read_bytes())
+        assert main(["build-index", "--lm", str(arpa), "--out", str(idx)]) == 0
+        assert idx.read_bytes() == (data / "golden_phrases.idx").read_bytes()
+
     @pytest.mark.parametrize("orders", ["0", "2,4"])
     def test_orders_outside_model_order_are_usage_error(self, workspace, orders):
         tmp, corpus, _ = workspace

@@ -338,6 +338,19 @@ class TestTraining:
             total = sum(10.0 ** lm.score_sequence(hist + (w,), len(hist)) for w in vocab)
             assert total <= 1.0 + 1e-9
 
+    def test_missing_order_round_trips(self):
+        # a library-built model may leave an order out: it has no n-grams
+        lm = LanguageModel({1: {("a",): (-0.5, -0.2), ("b",): (-0.6, -0.1), ("c",): (-0.9, 0.0)},
+                            3: {("a", "b", "c"): (-0.3, 0.0)}})
+        assert lm.tables[2] == {}
+        again = parse_arpa(serialize_arpa(lm))
+        assert again.tables == lm.tables
+        rng = random.Random(3)
+        for _ in range(40):
+            seq = tuple(rng.choice("abcz") for _ in range(rng.randint(1, 6)))
+            assert again.score_sequence(seq) == lm.score_sequence(seq), seq
+        assert lm.score_sequence(("a", "b", "c"), 2) == -0.3
+
     def test_serialize_parse_round_trip_score_identical(self):
         corpus = synth_corpus(60, seed=2)
         lm = train_counts(corpus, 3)

@@ -127,6 +127,12 @@ class TestBuildIndex:
         with pytest.raises(ValueError, match="doc 1 has no tokens"):
             build_index([PhraseDoc(0, ("a",), 0.0), PhraseDoc(1, (), 0.0)])
 
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_doc_score_rejected(self, score):
+        docs = [PhraseDoc(0, ("a", "b"), -1.0), PhraseDoc(1, ("b", "c"), score)]
+        with pytest.raises(ValueError, match=re.escape(f"doc 1 has non-finite score {score!r}")):
+            build_index(docs)
+
     def test_postings_reconstruct_membership(self):
         rng = random.Random(42)
         vocab = [random_word(rng) for _ in range(20)]
@@ -352,17 +358,27 @@ class TestPersistence:
         docid, _, tokens = lines[3].split("\t")
         lines[3] = f"{docid}\t{score}\t{tokens}"  # the second doc line
         path.write_text("".join(lines))
-        with pytest.raises(ValueError, match="doc 1 has non-finite score"):
+        with pytest.raises(ValueError) as err:
             load_index(path)
+        assert str(err.value) == f"{path}: doc 1 has non-finite score {score}"
 
-    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_doc_score_rejected_before_writing(self, tmp_path, score):
+    @pytest.mark.parametrize("field,value,message", [
+        (0, "7", "doc at position 1 has docid 7; docids must be 0..M-1 in order"),
+        (2, "\n", "doc 1 has no tokens"),
+        (2, " \n", "doc 1 has no tokens"),
+    ], ids=["docid", "empty-tokens", "blank-tokens"])
+    def test_doc_rule_error_names_file_and_docid(self, tmp_path, field, value, message):
+        # the file's doc N is on line N + 3; build_index judges the docs
         path = tmp_path / "phrases.idx"
-        index = build_index([PhraseDoc(0, ("a", "b"), -1.0), PhraseDoc(1, ("b", "c"), score)])
-        message = f"cannot save doc 1: non-finite score {score!r}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            save_index(index, path)
-        assert not path.exists()
+        save_index(build_index(make_docs(["a b", "b c", "c d"])), path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[3].split("\t")
+        fields[field] = value
+        lines[3] = "\t".join(fields)
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as err:
+            load_index(path)
+        assert str(err.value) == f"{path}: {message}"
 
     def test_same_tokens_twice_rejected(self, tmp_path):
         path = tmp_path / "phrases.idx"
