@@ -4,7 +4,7 @@ from .corrector import CorrectionResult, correct_dp, correct_fixed
 from .evaluation import NoiseSpec, bleu, corpus_perplexity, inject_noise, modified_precision
 from .lexicon import load_lexicon
 from .lm import LanguageModel, parse_arpa, serialize_arpa, tokenize, train_counts
-from .phrase_index import PhraseIndex, build_index, extract_phrases, load_index, save_index
+from .phrase_index import PhraseIndex, extract_phrases, load_index, save_index
 from .substituter import SubstituterConfig, find_best_subs, find_k_best_common
 
 __all__ = [
@@ -12,6 +12,6 @@ __all__ = [
     "NoiseSpec", "bleu", "corpus_perplexity", "inject_noise", "modified_precision",
     "load_lexicon",
     "LanguageModel", "parse_arpa", "serialize_arpa", "tokenize", "train_counts",
-    "PhraseIndex", "build_index", "extract_phrases", "load_index", "save_index",
+    "PhraseIndex", "extract_phrases", "load_index", "save_index",
     "SubstituterConfig", "find_best_subs", "find_k_best_common",
 ]

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import gc
 import json
 import sys
@@ -35,11 +34,10 @@ def _read_sentences(path):
 
 
 def _load(read, path):
-    """``read`` applied to ``path`` opened as strict UTF-8, a leading
-    byte-order mark dropped. A ``ValueError`` (a bad line, an undecodable
-    byte) is re-raised naming the file."""
+    """``read`` applied to ``path`` opened as strict UTF-8. A ``ValueError``
+    (a bad line, an undecodable byte) is re-raised naming the file."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8") as fh:
             return read(fh)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -95,8 +93,7 @@ def cmd_build_index(args) -> int:
             docs = phrase_index.extract_phrases(model, orders)
         except ValueError as exc:  # orders outside 1..model order
             return _usage_error(f"--orders: {exc}")
-        index = phrase_index.build_index(docs)
-        phrase_index.save_index(index, args.out)
+        phrase_index.save_index(phrase_index.PhraseIndex(docs), args.out)
     return EXIT_OK
 
 
@@ -108,12 +105,11 @@ def cmd_inject_noise(args) -> int:
     except ValueError as exc:
         return _usage_error(exc)
     sentences = _read_sentences(args.input)
-    vocab = tuple(sorted({w for s in sentences for w in s}))
-    spec = dataclasses.replace(spec, vocabulary=vocab)
+    vocabulary = tuple(sorted({w for s in sentences for w in s}))
     lexicon = _load(load_lexicon, args.lexicon) if args.lexicon else None
     with _open_out(args.out) as fh:
         for sent in sentences:
-            fh.write(" ".join(evaluation.inject_noise(sent, spec, lexicon)) + "\n")
+            fh.write(" ".join(evaluation.inject_noise(sent, spec, lexicon, vocabulary)) + "\n")
     return EXIT_OK
 
 

@@ -88,7 +88,6 @@ class NoiseSpec:
     delete_word: int = 0
     substitute_word: int = 0
     typo_char: int = 0
-    vocabulary: tuple[str, ...] = ()
 
     def __post_init__(self):
         if min(self.swap_adjacent, self.delete_word,
@@ -114,9 +113,11 @@ def _typo(word: str, rng: random.Random) -> str:
 
 
 def inject_noise(sentence: Sequence[str], spec: NoiseSpec,
-                 lexicon: dict[str, frozenset[str]] | None = None) -> tuple[str, ...]:
-    """Apply the recipe's error counts to one sentence; deterministic in
-    (sentence, spec). Ops the sentence is too short for are skipped."""
+                 lexicon: dict[str, frozenset[str]] | None = None,
+                 vocabulary: Sequence[str] = ()) -> tuple[str, ...]:
+    """Apply the recipe's error counts to one sentence; deterministic in the
+    arguments. Ops the sentence is too short for are skipped. A substituted
+    word is a lexicon synonym, or else another word of ``vocabulary``."""
     words = list(sentence)
     digest = zlib.crc32(" ".join(sentence).encode("utf-8"))
     rng = random.Random((spec.seed << 32) ^ digest)
@@ -135,7 +136,7 @@ def inject_noise(sentence: Sequence[str], spec: NoiseSpec,
         if mates:
             words[i] = rng.choice(mates)
         else:
-            pool = [w for w in spec.vocabulary if w != words[i]]
+            pool = [w for w in vocabulary if w != words[i]]
             if pool:
                 words[i] = rng.choice(pool)
     for _ in range(spec.typo_char):

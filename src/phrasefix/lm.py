@@ -118,7 +118,8 @@ def parse_arpa(text) -> LanguageModel:
             if table.setdefault(gram, entry) is not entry:
                 raise ValueError(f"line {line_no}: repeated {n}-gram {' '.join(gram)!r}")
         elif n is None or not line:  # before \data\, or a blank line
-            if line == "\\data\\":
+            # a stream may start with a byte-order mark
+            if line in ("\\data\\", "\ufeff\\data\\"):
                 n = 0
         elif not tables and (m := re.fullmatch(r"ngram\s+(\d+)\s*=\s*(\d+)", line)):
             if int(m[1]) != len(declared) + 1:

@@ -69,8 +69,34 @@ class PhraseIndex:
     ``retrieve`` derives its bigram and length tables from the postings'
     words on its first call."""
 
-    def __init__(self, docs: list[PhraseDoc], postings: dict[str, list[int]]):
-        self.docs = docs
+    def __init__(self, docs: Sequence[PhraseDoc]):
+        """Index ``docs``, whose docids must be their positions 0..M-1, each
+        with tokens and a finite score, and no two with the same tokens:
+        every doc rule, checked here only; an error names a doc by position.
+
+        Docs are visited in docid order, so each postings list is built
+        sorted and duplicate-free by appending a docid unless it is last.
+        """
+        # before the postings exist: checked after them, the sort's lists
+        # raised the peak of a load by 0.8 MB on a 50k-doc index
+        _reject_duplicate_tokens(docs)
+        postings: dict[str, list[int]] = {}
+        isfinite = math.isfinite
+        for i, (docid, tokens, lm_score) in enumerate(docs):
+            if docid != i:
+                raise ValueError(f"doc at position {i} has docid {docid}; "
+                                 "docids must be 0..M-1 in order")
+            if not tokens:
+                raise ValueError(f"doc {i} has no tokens")
+            if not isfinite(lm_score):
+                raise ValueError(f"doc {i} has non-finite score {lm_score!r}")
+            for word in tokens:
+                ids = postings.get(word)
+                if ids is None:
+                    postings[word] = [i]
+                elif ids[-1] != i:
+                    ids.append(i)
+        self.docs = list(docs)
         self.postings = postings
 
     def retrieve(self, word: str, d_t: int) -> list[int]:
@@ -126,36 +152,6 @@ def _bigrams(word: str) -> Iterator[str]:
     return map(add, padded, padded[1:])
 
 
-def build_index(docs: Sequence[PhraseDoc]) -> PhraseIndex:
-    """Index ``docs``, whose docids must be their positions 0..M-1, each
-    with tokens and a finite score, and no two with the same tokens. These
-    are all the doc rules, checked here only; an error names the doc.
-
-    Docs are visited in docid order, so each postings list is built sorted
-    and duplicate-free by appending a docid unless it is already last.
-    """
-    # before the postings exist: checked after them, the sort's lists raised
-    # the peak of a load by 0.8 MB on a 50k-doc index
-    _reject_duplicate_tokens(docs)
-    postings: dict[str, list[int]] = {}
-    isfinite = math.isfinite
-    for i, (docid, tokens, lm_score) in enumerate(docs):
-        if docid != i:
-            raise ValueError(f"doc at position {i} has docid {docid}; "
-                             "docids must be 0..M-1 in order")
-        if not tokens:
-            raise ValueError(f"doc {docid} has no tokens")
-        if not isfinite(lm_score):
-            raise ValueError(f"doc {docid} has non-finite score {lm_score!r}")
-        for word in tokens:
-            ids = postings.get(word)
-            if ids is None:
-                postings[word] = [i]
-            elif ids[-1] != i:
-                ids.append(i)
-    return PhraseIndex(list(docs), postings)
-
-
 _MAGIC = "phrasefix-index"
 _VERSION = "1"
 
@@ -171,7 +167,7 @@ def save_index(index: PhraseIndex, path):
 
     ``load_index`` splits doc tokens on whitespace, so a postings word that
     is empty or holds whitespace is a ``ValueError`` before the file is
-    opened. Every other doc rule is ``build_index``'s, which made ``index``.
+    opened. Every other doc rule is the ``PhraseIndex`` constructor's.
     """
     for word in index.postings:
         if word.split() != [word]:
@@ -190,10 +186,10 @@ def save_index(index: PhraseIndex, path):
 
 def load_index(path) -> PhraseIndex:
     """Read the docs section of an index file and index them with
-    ``build_index``; the stored postings are not read. Every error names
+    ``PhraseIndex``; the stored postings are not read. Every error names
     the file. A line that does not parse is named by its line; a doc that
-    breaks a doc rule is ``build_index``'s error, named by its docid (doc N
-    is on line N + 3)."""
+    breaks a doc rule is the constructor's error, named by its position
+    (the doc at position N is on line N + 3)."""
     try:
         with open(path, encoding="utf-8") as fh:
             if fh.readline().rstrip("\n").split("\t") != [_MAGIC, _VERSION]:
@@ -218,7 +214,7 @@ def load_index(path) -> PhraseIndex:
             if not line.startswith("postings\t"):
                 raise ValueError(f"line {3 + len(docs)}: expected the postings header "
                                  f"after {count} docs, got {line!r}")
-        return build_index(docs)
+        return PhraseIndex(docs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -235,5 +231,6 @@ def _reject_duplicate_tokens(docs: Sequence[PhraseDoc]):
     """
     for a, b in pairwise(sorted(docs, key=itemgetter(1))):
         if a.tokens == b.tokens:
-            raise ValueError(f"docs {a.docid} and {b.docid} have the same tokens "
+            i, j = [i for i, doc in enumerate(docs) if doc.tokens == a.tokens][:2]
+            raise ValueError(f"docs {i} and {j} have the same tokens "
                              f"{' '.join(a.tokens)!r}")

@@ -44,7 +44,7 @@ def find_best_subs(index: PhraseIndex, lm: LanguageModel,
     Each distinct word is retrieved once and gets one column, a slot per
     retrieved doc. The slots are in stage 2's order, ``(-lm_score,
     tokens)``, which no two docs share because their tokens differ
-    (``build_index``), so the k best of a pool are its k lowest slots. Each
+    (``PhraseIndex``), so the k best of a pool are its k lowest slots. Each
     start grows its span one word at a time. Once the span has more than
     t_pool docs, it folds their columns into a ``SpanScores``, and one
     ``values`` pass scores each cell's pool.

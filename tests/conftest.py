@@ -3,7 +3,7 @@ import string
 
 import pytest
 
-from phrasefix import build_index, extract_phrases, train_counts
+from phrasefix import PhraseIndex, extract_phrases, train_counts
 
 # Template grammar for desk-scale synthetic corpora. Word shapes are mostly
 # long enough that fuzzy retrieval at the default threshold stays selective.
@@ -51,4 +51,4 @@ def synth_lm():
 
 @pytest.fixture(scope="session")
 def synth_index(synth_lm):
-    return build_index(extract_phrases(synth_lm, range(2, synth_lm.order + 1)))
+    return PhraseIndex(extract_phrases(synth_lm, range(2, synth_lm.order + 1)))

@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from phrasefix import (NoiseSpec, SubstituterConfig, bleu,
-                       build_index, corpus_perplexity, correct_dp, correct_fixed,
+from phrasefix import (NoiseSpec, PhraseIndex, SubstituterConfig, bleu,
+                       corpus_perplexity, correct_dp, correct_fixed,
                        extract_phrases, find_best_subs, find_k_best_common, inject_noise,
                        modified_precision, parse_arpa, train_counts)
 from phrasefix.corrector import cross_concat
@@ -60,7 +60,7 @@ def _random_dp_instance(rng):
     corpus = [tuple(rng.choice(vocab) for _ in range(rng.randint(3, 5)))
               for _ in range(3)]
     lm = train_counts(corpus, 2)
-    index = build_index(extract_phrases(lm, {2}))
+    index = PhraseIndex(extract_phrases(lm, {2}))
     sentence = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 6)))
     cfg = SubstituterConfig(k=10 ** 9, t_pool=10 ** 9, d_t=rng.randint(1, 2))
     return sentence, lm, index, cfg
@@ -169,7 +169,7 @@ def test_split_count_law():
         vocab = [random_word(rng, 3, 6) for _ in range(12)]
         corpus = [tuple(rng.choice(vocab) for _ in range(6)) for _ in range(10)]
         lm = train_counts(corpus, 2)
-        index = build_index(extract_phrases(lm, {2}))
+        index = PhraseIndex(extract_phrases(lm, {2}))
         cfg = SubstituterConfig(k=5, t_pool=20)
         lex = {}
         for n in (3, 5, 8, 12):
@@ -206,7 +206,7 @@ def test_metric_suites():
         assert dab <= dac + dcb
 
     dictionary = sorted({random_word(rng, 2, 8) for _ in range(200)})
-    index = build_index([PhraseDoc(i, (w,), 0.0) for i, w in enumerate(dictionary)])
+    index = PhraseIndex([PhraseDoc(i, (w,), 0.0) for i, w in enumerate(dictionary)])
     for d_t in (1, 2, 3):
         for _ in range(40):
             q = random_word(rng, 2, 8)
@@ -218,7 +218,7 @@ def test_metric_suites():
         phrases = dict.fromkeys(  # each phrase once, in draw order
             tuple(rng.choice(vocab) for _ in range(rng.randint(1, 4))) for _ in range(50))
         docs = [PhraseDoc(i, p, 0.0) for i, p in enumerate(phrases)]
-        index = build_index(docs)
+        index = PhraseIndex(docs)
         for word in vocab:
             expected = sorted(d.docid for d in docs if word in d.tokens)
             assert index.postings.get(word, []) == expected
@@ -261,7 +261,7 @@ def test_scaling_smoke():
         phrase = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 3)))
         stored.setdefault(phrase, -rng.random() * 20)
     docs = [PhraseDoc(i, p, s) for i, (p, s) in enumerate(stored.items())]
-    index = build_index(docs)
+    index = PhraseIndex(docs)
     cfg = SubstituterConfig(k=5, t_pool=200)
     lex = {}
 

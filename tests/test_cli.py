@@ -351,6 +351,22 @@ class TestCorrect:
             if out.exists() else []
         return code, records
 
+    def test_lexicon_with_a_byte_order_mark_gives_the_same_records(self, workspace):
+        # tokenize drops U+FEFF like any other non-word character
+        tmp, corpus, sentences = workspace
+        arpa, idx = self.build(tmp, corpus)
+        lines = [" ".join(s[:4]) for s in sentences[:4]]
+        lexicon = tmp / "lexicon.txt"
+        runs = []
+        for text in ("", "commission council\n", "\ufeffcommission council\n"):
+            lexicon.write_text(text, encoding="utf-8")
+            runs.append(self.correct(tmp, arpa, idx, lines,
+                                     options=["--k", "1", "--t-pool", "2",
+                                              "--lexicon", str(lexicon)]))
+        empty, plain, marked = runs
+        assert plain[0] == 0 and plain != empty  # the synset changes the records
+        assert marked == plain
+
     @pytest.mark.parametrize("algorithm", ["dp", "fixed"])
     @pytest.mark.parametrize("middle", ["!!!", ""])
     def test_wordless_line_gives_pass_through_record(self, workspace, algorithm, middle):

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from phrasefix import (SubstituterConfig, build_index, correct_dp, correct_fixed,
+from phrasefix import (PhraseIndex, SubstituterConfig, correct_dp, correct_fixed,
                        extract_phrases, find_best_subs, find_k_best_common, train_counts)
 from phrasefix.corrector import cross_concat
 from phrasefix.substituter import top_k
@@ -19,7 +19,7 @@ UNBOUNDED = 10 ** 9
 def make_setup(corpus, order=2, index_orders=None):
     lm = train_counts(corpus, order)
     docs = extract_phrases(lm, index_orders or {2})
-    return lm, docs, build_index(docs)
+    return lm, docs, PhraseIndex(docs)
 
 
 def assert_freed_by_refcount(correct):
@@ -125,7 +125,7 @@ class TestCorrectDp:
         lm = train_counts(corpus, 2)
         sentence = ("aa", "bb", "cc")
         docs = [PhraseDoc(0, sentence, lm.score_sequence(sentence))]
-        index = build_index(docs)
+        index = PhraseIndex(docs)
         cfg = SubstituterConfig(k=5, t_pool=10)
         result = correct_dp(sentence, index, lm, {}, cfg)
         assert result.corrected == result.original
@@ -165,7 +165,7 @@ class TestCorrectDp:
             assert sorted(vars(index)) == names
             assert sizes() == before
         # and what it derived does not depend on the queries that built it
-        fresh = build_index(index.docs)
+        fresh = PhraseIndex(index.docs)
         fresh.retrieve("zzzzzz", 1)
         assert fresh._tables == index._tables
 
@@ -251,11 +251,11 @@ class TestCorrectFixed:
         lm = train_counts(corpus, 2)
         phrases = [("aa", "bb"), ("bb", "cc"), ("cc", "dd"), ("dd", "cc"), ("bb", "dd")]
         docs = [PhraseDoc(i, p, lm.score_sequence(p)) for i, p in enumerate(phrases)]
-        return lm, build_index(docs)
+        return lm, PhraseIndex(docs)
 
     def test_no_candidates_triggers_identity_guard(self):
         lm = train_counts([("aa", "bb", "cc", "dd")] * 3, 2)
-        result = correct_fixed(("aa", "bb", "cc", "dd"), lm, build_index([]), phrase_len=4)
+        result = correct_fixed(("aa", "bb", "cc", "dd"), lm, PhraseIndex([]), phrase_len=4)
         assert result.corrected == result.original
         assert result.stats["guard_triggered"]
         assert result.score_after == result.score_before
@@ -307,7 +307,7 @@ class TestCorrectFixed:
             vocab = [random_word(rng, 2, 4) for _ in range(6)]
             corpus = [tuple(rng.choice(vocab) for _ in range(5)) for _ in range(6)]
             lm = train_counts(corpus, 2)
-            index = build_index(extract_phrases(lm, {2}))
+            index = PhraseIndex(extract_phrases(lm, {2}))
             sentence = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 9)))
             result = correct_fixed(sentence, lm, index, phrase_len=4)
             assert result.score_after >= result.score_before

@@ -190,8 +190,8 @@ class TestInjectNoise:
 
     def test_empty_sentence_stays_empty(self):
         spec = NoiseSpec(seed=0, swap_adjacent=1, delete_word=1, substitute_word=1,
-                         typo_char=1, vocabulary=("zz",))
-        assert inject_noise((), spec) == ()
+                         typo_char=1)
+        assert inject_noise((), spec, vocabulary=("zz",)) == ()
 
     def test_substitute_prefers_lexicon_mates(self):
         lex = load_lexicon("big large\n")
@@ -200,8 +200,8 @@ class TestInjectNoise:
         assert out == ("large",)
 
     def test_substitute_falls_back_to_vocabulary(self):
-        spec = NoiseSpec(seed=0, substitute_word=1, vocabulary=("zz",))
-        assert inject_noise(("aa",), spec) == ("zz",)
+        spec = NoiseSpec(seed=0, substitute_word=1)
+        assert inject_noise(("aa",), spec, vocabulary=("zz",)) == ("zz",)
 
     def test_typo_changes_edit_distance_one(self):
         rng = random.Random(6)

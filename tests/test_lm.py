@@ -52,6 +52,16 @@ class TestParseArpa:
         assert lm.tables[1][("a",)][0] == pytest.approx(math.log10(0.5))
         assert lm.tables[1][("b",)][0] == pytest.approx(math.log10(0.5))
 
+    def test_byte_order_mark_before_the_header(self):
+        assert parse_arpa("\ufeff" + BACKOFF_TOY).tables == parse_arpa(BACKOFF_TOY).tables
+
+    def test_byte_order_mark_read_from_a_utf8_file(self, tmp_path):
+        # a file saved with a byte-order mark, opened as plain utf-8
+        path = tmp_path / "model.arpa"
+        path.write_text(BACKOFF_TOY, encoding="utf-8-sig")
+        with open(path, encoding="utf-8") as fh:
+            assert parse_arpa(fh).tables == parse_arpa(BACKOFF_TOY).tables
+
     def test_missing_backoff_defaults_to_zero(self):
         text = ("\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-0.3\ta\t-0.1\n"
                 "-0.3\tb\t0.0\n\n\\2-grams:\n-0.5\ta b\n\n\\end\\\n")

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phrasefix import (build_index, extract_phrases, load_index, parse_arpa, save_index,
+from phrasefix import (PhraseIndex, extract_phrases, load_index, parse_arpa, save_index,
                        train_counts)
 from phrasefix.lm import LanguageModel
 from phrasefix.phrase_index import PhraseDoc
@@ -102,36 +102,38 @@ class TestExtractPhrases:
 
 
 class TestBuildIndex:
+    """The ``PhraseIndex`` constructor, the one maker of an index."""
+
     def test_small_example(self):
-        index = build_index(make_docs(["a b", "b c"]))
+        index = PhraseIndex(make_docs(["a b", "b c"]))
         assert index.postings["b"] == [0, 1]
         assert index.postings["a"] == [0]
 
     def test_single_doc(self):
-        index = build_index(make_docs(["x y z"]))
+        index = PhraseIndex(make_docs(["x y z"]))
         assert all(index.postings[w] == [0] for w in "xyz")
 
     def test_duplicate_docid_rejected(self):
         docs = [PhraseDoc(0, ("a",), 0.0), PhraseDoc(0, ("b",), 0.0)]
         with pytest.raises(ValueError, match=re.escape(
                 "doc at position 1 has docid 0; docids must be 0..M-1 in order")):
-            build_index(docs)
+            PhraseIndex(docs)
 
     def test_permuted_docids_rejected(self):
         # docids are looked up as positions in index.docs
         docs = [PhraseDoc(1, ("a",), 0.0), PhraseDoc(0, ("b",), 0.0)]
         with pytest.raises(ValueError, match="doc at position 0 has docid 1;"):
-            build_index(docs)
+            PhraseIndex(docs)
 
     def test_doc_without_tokens_rejected(self):
         with pytest.raises(ValueError, match="doc 1 has no tokens"):
-            build_index([PhraseDoc(0, ("a",), 0.0), PhraseDoc(1, (), 0.0)])
+            PhraseIndex([PhraseDoc(0, ("a",), 0.0), PhraseDoc(1, (), 0.0)])
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_doc_score_rejected(self, score):
         docs = [PhraseDoc(0, ("a", "b"), -1.0), PhraseDoc(1, ("b", "c"), score)]
         with pytest.raises(ValueError, match=re.escape(f"doc 1 has non-finite score {score!r}")):
-            build_index(docs)
+            PhraseIndex(docs)
 
     def test_postings_reconstruct_membership(self):
         rng = random.Random(42)
@@ -139,7 +141,7 @@ class TestBuildIndex:
         docs = make_docs(dict.fromkeys(  # each phrase once, in draw order
             " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
             for _ in range(50)))
-        index = build_index(docs)
+        index = PhraseIndex(docs)
         for word in vocab:
             expected = sorted(d.docid for d in docs if word in d.tokens)
             assert index.postings.get(word, []) == expected
@@ -153,10 +155,18 @@ class TestBuildIndex:
         docs = make_docs(["a b", "b c", "c d", "b c"])
         with pytest.raises(ValueError, match=re.escape(
                 "docs 1 and 3 have the same tokens 'b c'")):
-            build_index(docs)
+            PhraseIndex(docs)
+
+    def test_same_tokens_named_by_position(self):
+        # the duplicate check runs before the docid check, so it must not
+        # name docs by docids that are not their positions
+        docs = [PhraseDoc(0, ("a",), 0.0), PhraseDoc(5, ("b",), 0.0), PhraseDoc(9, ("a",), 0.0)]
+        with pytest.raises(ValueError, match=re.escape(
+                "docs 0 and 2 have the same tokens 'a'")):
+            PhraseIndex(docs)
 
     def test_dictionary_holds_exactly_doc_words(self):
-        index = build_index(make_docs(["a b", "b c", "ccc", "dddd"]))
+        index = PhraseIndex(make_docs(["a b", "b c", "ccc", "dddd"]))
         # every word of length < 4 is within distance 4 of the empty query
         assert index.retrieve("", 4) == [0, 1, 2] == scan(index, "", 4)
         assert index.retrieve("a", 1) == [0]
@@ -165,18 +175,18 @@ class TestBuildIndex:
 
 class TestFuzzyLookup:
     def test_exact_word_always_found(self):
-        index = build_index(make_docs(["cat dog", "cart"]))
+        index = PhraseIndex(make_docs(["cat dog", "cart"]))
         assert index.retrieve("cat", 1) == [0]
 
     def test_cart_matches_cat(self):
-        index = build_index(make_docs(["cat", "dog"]))
+        index = PhraseIndex(make_docs(["cat", "dog"]))
         assert index.retrieve("cart", 3) == [0] == scan(index, "cart", 3)
 
     @pytest.mark.parametrize("d_t", [1, 2, 3, 4, 5, 6])
     def test_retrieve_equals_linear_scan(self, d_t):
         rng = random.Random(7)
         words = sorted({random_word(rng, 2, 8) for _ in range(200)})
-        index = build_index(make_docs(words))  # one doc per word
+        index = PhraseIndex(make_docs(words))  # one doc per word
         for _ in range(50):
             q = random_word(rng, 2, 8)
             assert index.retrieve(q, d_t) == scan(index, q, d_t)
@@ -186,7 +196,7 @@ class TestFuzzyLookup:
         # repeats are counted as a multiset; the pads may occur inside words
         words = ["aaaa", "aaab", "abab", "baba", "aab", "ab\x02", "\x02ab",
                  "a\x03\x02", "\x03", "\x02\x03ab"]
-        index = build_index(make_docs(words))
+        index = PhraseIndex(make_docs(words))
         for q in words + ["", "a", "aa", "aaaaaa", "ababab", "\x02", "\x03\x02"]:
             assert index.retrieve(q, d_t) == scan(index, q, d_t)
 
@@ -195,7 +205,7 @@ class TestFuzzyLookup:
     def test_short_query_finds_words_sharing_no_bigram(self, query, d_t):
         # max(|q|, |w|) + 1 - 2 * (d_t - 1) <= 0 here, so a match may share
         # no padded bigram with the query
-        index = build_index(make_docs(["b", "cd", "ayb", "efgh", "ijklmnop"]))
+        index = PhraseIndex(make_docs(["b", "cd", "ayb", "efgh", "ijklmnop"]))
         found = index.retrieve(query, d_t)
         assert found and found == scan(index, query, d_t)
 
@@ -205,13 +215,13 @@ class TestFuzzyLookup:
            query=st.text("ab\x02\x03\xe9", max_size=8),
            d_t=st.integers(1, 6))
     def test_equals_reference_scan_property(self, words, query, d_t):
-        index = build_index([PhraseDoc(i, (w,), 0.0) for i, w in enumerate(words)])
+        index = PhraseIndex([PhraseDoc(i, (w,), 0.0) for i, w in enumerate(words)])
         assert index.retrieve(query, d_t) == scan(index, query, d_t)
 
     def test_bigram_table_holds_each_padded_bigram_once(self):
         # each word is listed under a padded bigram once per occurrence of
         # it, and under its length once
-        index = build_index(make_docs(["aaaa b", "abab", "b cd", "\x02a\x03"]))
+        index = PhraseIndex(make_docs(["aaaa b", "abab", "b cd", "\x02a\x03"]))
         by_bigram, by_length = index._tables
         for w in index.postings:
             padded = f"\x02{w}\x03"
@@ -228,7 +238,7 @@ class TestFuzzyLookup:
         # a query shorter than 2 * (d_t - 1) also takes the words of each
         # length near its own that share no bigram with it
         words = ["x" * m for m in range(1, 13)] + ["b", "ab", "ba", "abc", "qrst", "\x02\x03"]
-        index = build_index(make_docs(words))
+        index = PhraseIndex(make_docs(words))
         for q in ["", "a", "b", "ab", "zz", "abc", "xyz", "abcd", "zzzzz", "\x03"]:
             assert index.retrieve(q, d_t) == scan(index, q, d_t), q
 
@@ -238,7 +248,7 @@ class TestRetrieve:
     def index(self):
         rng = random.Random(11)
         vocab = [random_word(rng, 3, 7) for _ in range(15)]
-        return build_index(make_docs(dict.fromkeys(  # each phrase once, in draw order
+        return PhraseIndex(make_docs(dict.fromkeys(  # each phrase once, in draw order
             " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
             for _ in range(60)))), vocab
 
@@ -291,7 +301,7 @@ class TestPersistence:
         # the benchmark compares loaded docs in this form with the file's
         docs = extract_phrases(train_counts(synth_corpus(40, seed=8), 3), [2, 3])
         path = tmp_path / "phrases.idx"
-        save_index(build_index(docs), path)
+        save_index(PhraseIndex(docs), path)
         assert [(d.docid, d.lm_score, d.tokens) for d in load_index(path).docs] == \
             [(d.docid, d.lm_score, d.tokens) for d in docs]
 
@@ -305,7 +315,7 @@ class TestPersistence:
         docs = [PhraseDoc(i, p, -rng.random() * 9) for i, p in enumerate(phrases)]
         assert len(docs) >= 20000
         path = tmp_path / "phrases.idx"
-        save_index(build_index(docs), path)
+        save_index(PhraseIndex(docs), path)
         del docs, phrases
         tracemalloc.start()
         try:
@@ -320,7 +330,7 @@ class TestPersistence:
         rng = random.Random(31)
         vocab = [random_word(rng, 3, 6) for _ in range(12)]
         phrases = [" ".join(rng.choice(vocab) for _ in range(2)) for _ in range(40)]
-        index = build_index(make_docs(list(dict.fromkeys(phrases))))  # each phrase once
+        index = PhraseIndex(make_docs(list(dict.fromkeys(phrases))))  # each phrase once
         path = tmp_path / "phrases.idx"
         save_index(index, path)
         loaded = load_index(path)
@@ -331,7 +341,7 @@ class TestPersistence:
             assert retrieve_any(loaded, query, 3) == retrieve_any(index, query, 3)
 
     def test_stored_postings_are_not_trusted(self, tmp_path):
-        index = build_index(make_docs(["a b", "b c", "c d"]))
+        index = PhraseIndex(make_docs(["a b", "b c", "c d"]))
         path = tmp_path / "phrases.idx"
         save_index(index, path)
         lines = path.read_text().splitlines(keepends=True)
@@ -345,7 +355,7 @@ class TestPersistence:
     @pytest.mark.parametrize("word", ["a b", "x\ty", "", "a\nb", "\r"])
     def test_word_the_format_cannot_hold_rejected_before_writing(self, tmp_path, word):
         path = tmp_path / "phrases.idx"
-        index = build_index([PhraseDoc(0, (word, "c"), -1.0)])
+        index = PhraseIndex([PhraseDoc(0, (word, "c"), -1.0)])
         with pytest.raises(ValueError, match=re.escape(f"cannot save the word {word!r}")):
             save_index(index, path)
         assert not path.exists()
@@ -353,7 +363,7 @@ class TestPersistence:
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_non_finite_doc_score_rejected(self, tmp_path, score):
         path = tmp_path / "phrases.idx"
-        save_index(build_index(make_docs(["a b", "b c"])), path)
+        save_index(PhraseIndex(make_docs(["a b", "b c"])), path)
         lines = path.read_text().splitlines(keepends=True)
         docid, _, tokens = lines[3].split("\t")
         lines[3] = f"{docid}\t{score}\t{tokens}"  # the second doc line
@@ -368,9 +378,9 @@ class TestPersistence:
         (2, " \n", "doc 1 has no tokens"),
     ], ids=["docid", "empty-tokens", "blank-tokens"])
     def test_doc_rule_error_names_file_and_docid(self, tmp_path, field, value, message):
-        # the file's doc N is on line N + 3; build_index judges the docs
+        # the file's doc at position N is on line N + 3; PhraseIndex judges the docs
         path = tmp_path / "phrases.idx"
-        save_index(build_index(make_docs(["a b", "b c", "c d"])), path)
+        save_index(PhraseIndex(make_docs(["a b", "b c", "c d"])), path)
         lines = path.read_text().splitlines(keepends=True)
         fields = lines[3].split("\t")
         fields[field] = value
@@ -382,10 +392,24 @@ class TestPersistence:
 
     def test_same_tokens_twice_rejected(self, tmp_path):
         path = tmp_path / "phrases.idx"
-        save_index(build_index(make_docs(["a b", "b c", "c d"])), path)
+        save_index(PhraseIndex(make_docs(["a b", "b c", "c d"])), path)
         lines = path.read_text().splitlines(keepends=True)
         docid, score, _ = lines[4].split("\t")
         lines[4] = "\t".join([docid, score, lines[2].split("\t")[2]])  # doc 0's tokens
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError) as err:
+            load_index(path)
+        assert str(err.value) == f"{path}: docs 0 and 2 have the same tokens 'a b'"
+
+    def test_same_tokens_named_by_line(self, tmp_path):
+        # docids that are not positions: the error still names the docs at
+        # positions 0 and 2, on lines 3 and 5
+        path = tmp_path / "phrases.idx"
+        save_index(PhraseIndex(make_docs(["a b", "b c", "c d"])), path)
+        lines = path.read_text().splitlines(keepends=True)
+        score, tokens = lines[2].split("\t")[1:]
+        lines[3] = lines[3].replace("1\t", "5\t", 1)
+        lines[4] = f"9\t{score}\t{tokens}"  # doc 0's tokens
         path.write_text("".join(lines))
         with pytest.raises(ValueError) as err:
             load_index(path)
@@ -399,7 +423,7 @@ class TestPersistence:
 
     def test_missing_postings_header_names_file_and_line(self, tmp_path):
         path = tmp_path / "phrases.idx"
-        save_index(build_index(make_docs(["a b", "b c"])), path)
+        save_index(PhraseIndex(make_docs(["a b", "b c"])), path)
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:4]))  # header, count line, both docs
         with pytest.raises(ValueError) as err:

@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from phrasefix import (build_index, load_index, load_lexicon, parse_arpa, save_index,
+from phrasefix import (PhraseIndex, load_index, load_lexicon, parse_arpa, save_index,
                        serialize_arpa, tokenize, train_counts)
 from phrasefix.cli import main
 from phrasefix.distance import ALIGN_THRESHOLD, SpanScores, word_columns
@@ -75,10 +75,10 @@ def test_arpa_round_trip(corpus, order):
 def test_index_round_trip(tmp_path, phrases):
     docs = [PhraseDoc(i, tuple(words), score) for i, (words, score) in enumerate(phrases)]
     path = tmp_path / "phrases.idx"
-    save_index(build_index(docs), path)
+    save_index(PhraseIndex(docs), path)
     loaded = load_index(path)
     assert loaded.docs == docs
-    assert loaded.postings == build_index(docs).postings
+    assert loaded.postings == PhraseIndex(docs).postings
 
 
 

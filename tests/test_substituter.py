@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from phrasefix import (SubstituterConfig, build_index, find_best_subs,
+from phrasefix import (PhraseIndex, SubstituterConfig, find_best_subs,
                        find_k_best_common, load_lexicon, parse_arpa, train_counts)
 from phrasefix import substituter
 from phrasefix.distance import SpanScores
@@ -75,7 +75,7 @@ def toy_setup():
     docs = []
     for i, tokens in enumerate(corpus):
         docs.append(PhraseDoc(i, tokens, lm.score_sequence(tokens)))
-    return lm, docs, build_index(docs)
+    return lm, docs, PhraseIndex(docs)
 
 
 class TestFindBestSub:
@@ -105,7 +105,7 @@ class TestFindBestSub:
             lm = train_counts(corpus, 2)
             docs = [PhraseDoc(i, g, lm.score_sequence(g))
                     for i, g in enumerate(sorted({tuple(s) for s in corpus}))]
-            index = build_index(docs)
+            index = PhraseIndex(docs)
             cfg = SubstituterConfig(k=5, t_pool=rng.choice([5, 25]), d_t=rng.randint(1, 3))
             phrase = tuple(rng.choice(vocab) for _ in range(rng.randint(1, 3)))
             got = whole_span(index, lm, lex, phrase, cfg)
@@ -121,7 +121,7 @@ class TestFindBestSub:
         lm = train_counts(corpus, 2)
         grams = sorted({tuple(s) for s in corpus})[:25]
         docs = [PhraseDoc(i, g, lm.score_sequence(g)) for i, g in enumerate(grams)]
-        index = build_index(docs)
+        index = PhraseIndex(docs)
         cfg = SubstituterConfig(k=5, t_pool=25)
         phrase = (vocab[0], vocab[1])
         got = whole_span(index, lm, {}, phrase, cfg)
@@ -173,7 +173,7 @@ class TestFindBestSubs:
             grams = sorted({tuple(s[a:a + 3]) for s in corpus for a in range(len(s) - 1)})
             rng.shuffle(grams)  # so that docid order is not token order
             docs = [PhraseDoc(i, g, lm.score_sequence(g)) for i, g in enumerate(grams)]
-            index = build_index(docs)
+            index = PhraseIndex(docs)
             t_pool = rng.choice([1, 3, 8, 50])
             cfg = SubstituterConfig(k=rng.randint(1, min(5, t_pool)), t_pool=t_pool,
                                     d_t=trial % 3 + 1)
@@ -206,7 +206,7 @@ class TestFindBestSubs:
         words = ["abe", "abf", "abd", "abh", "abc"]
         stored = [-3.0, -0.5, -2.0, -0.1, -1.0]
         docs = [PhraseDoc(i, (w,), s) for i, (w, s) in enumerate(zip(words, stored))]
-        index = build_index(docs)
+        index = PhraseIndex(docs)
         lm = train_counts([("abc", "abd")], 1)
         for phrase in (("abc",), ("abg",)):
             for t_pool in range(1, 6):
@@ -255,7 +255,7 @@ class TestFindBestSubs:
                  ("mat",), ("dog", "mat"), ("cot", "cat", "dig"), ("dig",)]
         lm = train_counts(grams, 2)
         docs = [PhraseDoc(i, g, lm.score_sequence(g)) for i, g in enumerate(grams)]
-        index = build_index(docs)
+        index = PhraseIndex(docs)
         lex = load_lexicon("cat dog\n")
         sentence = ("cot", "dog", "cat", "dog", "map")
         for t_pool in (1, 2, 3, 5, 8, 20):
@@ -269,7 +269,7 @@ class TestFindBestSubs:
 
     def test_sentence_that_retrieves_nothing_keeps_only_identities(self, rank_branches):
         lm = train_counts([("alpha", "beta"), ("gamma",)], 2)
-        index = build_index([PhraseDoc(0, ("alpha", "beta"), -1.0),
+        index = PhraseIndex([PhraseDoc(0, ("alpha", "beta"), -1.0),
                              PhraseDoc(1, ("gamma",), -0.5)])
         sentence = ("zq", "xj", "zq")
         cfg = SubstituterConfig(k=2, t_pool=2)
@@ -288,7 +288,7 @@ class TestFindBestSubs:
         lm = parse_arpa("\\data\\\nngram 1=2\nngram 2=1\n\n\\1-grams:\n-0.301 a 0.0\n"
                         "-0.301 b 0.0\n\n\\2-grams:\n-1.0 a b\n\n\\end\\\n")
         assert lm.score_sequence(("a", "b")) == pytest.approx(-1.301)
-        index = build_index([PhraseDoc(0, ("a", "b"), 0.0)])
+        index = PhraseIndex([PhraseDoc(0, ("a", "b"), 0.0)])
         cfg = SubstituterConfig(k=5, t_pool=10)
         cell = find_best_subs(index, lm, {}, ("a", "b"), cfg)[(0, 1)]
         assert cell[("a", "b")] == 0.0
@@ -298,7 +298,7 @@ class TestFindBestSubs:
         # the LM's -0.301 for the identity would rank first, but the first
         # entry for a token tuple counts, so "q" stays out of the 1 best
         lm = parse_arpa("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.301 q\n-0.301 x\n\n\\end\\\n")
-        index = build_index([PhraseDoc(0, ("x",), -0.5), PhraseDoc(1, ("q",), -5.0)])
+        index = PhraseIndex([PhraseDoc(0, ("x",), -0.5), PhraseDoc(1, ("q",), -5.0)])
         cfg = SubstituterConfig(k=1, t_pool=10)
         assert list(whole_span(index, lm, {}, ("q",), cfg).items()) == [(("x",), -0.5)]
         assert list(whole_span(index, lm, {}, ("q",), cfg).items()) == \
@@ -314,16 +314,16 @@ class TestFindKBestCommon:
         return [PhraseDoc(i, tuple(p.split()), 0.0) for i, p in enumerate(phrases)]
 
     def test_direct_set_logic(self):
-        index = build_index(self.make_docs(["a b", "a x", "b c y"]))
+        index = PhraseIndex(self.make_docs(["a b", "a x", "b c y"]))
         got = find_k_best_common(index, ("a", "b", "c"))
         assert got == [("a", "b"), ("b", "c", "y")]
 
     def test_no_shared_pair_gives_empty(self):
-        index = build_index(self.make_docs(["x y", "z w"]))
+        index = PhraseIndex(self.make_docs(["x y", "z w"]))
         assert find_k_best_common(index, ("a", "b")) == []
 
     def test_short_phrase_gives_empty(self):
-        index = build_index(self.make_docs(["a b"]))
+        index = PhraseIndex(self.make_docs(["a b"]))
         assert find_k_best_common(index, ("a",)) == []
 
     def test_matches_brute_force(self):
@@ -332,7 +332,7 @@ class TestFindKBestCommon:
         docs = self.make_docs(dict.fromkeys(  # each phrase once, in draw order
             " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 4)))
             for _ in range(30)))
-        index = build_index(docs)
+        index = PhraseIndex(docs)
         for _ in range(30):
             phrase = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 4)))
             expected = [d.tokens for d in docs
