@@ -11,6 +11,13 @@ from typing import Iterable
 # log10 probability of a word the model has no unigram for
 OOV_LOGPROB = -99.0
 
+# the most distinct numbers one parse_arpa or serialize_arpa call keeps
+# converted: a count-based model repeats a few hundred values (logs of ratios
+# of small counts), and past this many a new value is converted and not kept,
+# so memory stays bounded and a model of all-distinct values pays only a
+# lookup per number
+NUMBER_MEMO_CAP = 4096
+
 _NON_WORD = re.compile(r"[^\w\s]+")
 
 
@@ -90,6 +97,10 @@ def parse_arpa(text) -> LanguageModel:
     """
     declared: dict[int, int] = {}
     tables: dict[int, dict[tuple[str, ...], tuple[float, float]]] = {}
+    # number text -> its checked float; takes no new key once it holds
+    # NUMBER_MEMO_CAP
+    numbers: dict[str, float] = {}
+    known = numbers.get
     n = None
     line_no = 0
 
@@ -102,18 +113,28 @@ def parse_arpa(text) -> LanguageModel:
         line = line.strip()
         if tables and line and line[0] != "\\":
             fields = line.split()
-            if len(fields) not in (n + 1, n + 2):
+            width = len(fields) - n
+            if width not in (1, 2):
                 raise ValueError(f"line {line_no}: expected {n}-gram entry, got {line!r}")
-            try:
-                logprob = float(fields[0])
-                backoff = float(fields[-1]) if len(fields) == n + 2 else 0.0
-                if not math.isfinite(logprob + backoff):
-                    raise ValueError
-            except ValueError:
-                # a value is not a finite float (or two finite ones sum past
-                # the largest): ``_finite`` names the first bad one
-                logprob = _finite(fields[0], "logprob", line_no)
-                backoff = _finite(fields[-1], "backoff", line_no) if len(fields) == n + 2 else 0.0
+            has_backoff = width == 2
+            logprob = known(fields[0])
+            backoff = known(fields[-1]) if has_backoff else 0.0
+            if logprob is None or backoff is None:
+                try:
+                    logprob = float(fields[0])
+                    backoff = float(fields[-1]) if has_backoff else 0.0
+                    if not math.isfinite(logprob + backoff):
+                        raise ValueError
+                except ValueError:
+                    # a value is not a finite float (or two finite ones sum
+                    # past the largest): ``_finite`` names the first bad one
+                    logprob = _finite(fields[0], "logprob", line_no)
+                    backoff = _finite(fields[-1], "backoff", line_no) if has_backoff else 0.0
+                if len(numbers) < NUMBER_MEMO_CAP:
+                    numbers[fields[0]] = logprob
+                    if has_backoff:
+                        numbers[fields[-1]] = backoff
+            # a new tuple per line, so a repeated n-gram is never its first entry
             gram, entry = tuple(fields[1:n + 1]), (logprob, backoff)
             if table.setdefault(gram, entry) is not entry:
                 raise ValueError(f"line {line_no}: repeated {n}-gram {' '.join(gram)!r}")
@@ -152,19 +173,37 @@ def parse_arpa(text) -> LanguageModel:
 
 
 def serialize_arpa(lm: LanguageModel) -> str:
-    """Emit the model in ARPA layout, tab-separated, orders ascending."""
+    """Emit the model in ARPA layout, tab-separated, orders ascending. Each
+    number is written as its ``repr``."""
+    # float -> its repr, capped as parse_arpa's; never a zero, since 0.0 and
+    # -0.0 are one key but print differently. Both misses are handled inline:
+    # with a helper call per miss, an all-distinct model took 20-30% longer
+    # to write than with no memo at all
+    reprs: dict[float, str] = {}
+    known = reprs.get
     out = ["\\data\\"]
     for n, table in lm.tables.items():
         out.append(f"ngram {n}={len(table)}")
     out.append("")
     for n, table in lm.tables.items():
         out.append(f"\\{n}-grams:")
+        has_backoff = n < lm.order
         for gram in sorted(table):
             logprob, backoff = table[gram]
-            line = f"{logprob!r}\t" + " ".join(gram)
-            if n < lm.order:
-                line += f"\t{backoff!r}"
-            out.append(line)
+            first = known(logprob)
+            if first is None:
+                first = repr(logprob)
+                if logprob and len(reprs) < NUMBER_MEMO_CAP:
+                    reprs[logprob] = first
+            if has_backoff:
+                last = known(backoff)
+                if last is None:
+                    last = repr(backoff)
+                    if backoff and len(reprs) < NUMBER_MEMO_CAP:
+                        reprs[backoff] = last
+                out.append(f"{first}\t{' '.join(gram)}\t{last}")
+            else:
+                out.append(f"{first}\t{' '.join(gram)}")
         out.append("")
     out.append("\\end\\")
     return "\n".join(out) + "\n"
@@ -205,11 +244,14 @@ def train_counts(corpus: Iterable[Iterable[str]], order: int) -> LanguageModel:
         table = {}
         for gram, c in counts[n].items():
             backoff = 0.0
-            if n < order and gram in followers:
-                ctx = followers[gram]
+            ctx = followers.get(gram) if n < order else None
+            if ctx is not None:
                 held_out = len(ctx) / mass[gram]
+                # c(lower + (w,)) for each w that follows gram, since every
+                # such n-gram's suffix was counted too
                 lower = gram[1:]
-                seen_lower = sum(counts[n][lower + (w,)] / mass[lower] for w in ctx)
+                lower_ctx, lower_mass = followers[lower], mass[lower]
+                seen_lower = sum(lower_ctx[w] / lower_mass for w in ctx)
                 backoff = math.log10(held_out / (1.0 - seen_lower))
             table[gram] = (math.log10(c / mass[gram[:-1]]), backoff)
         tables[n] = table

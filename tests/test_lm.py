@@ -5,7 +5,7 @@ import pytest
 
 from phrasefix import (LanguageModel, corpus_perplexity, parse_arpa, serialize_arpa,
                        tokenize, train_counts)
-from phrasefix.lm import OOV_LOGPROB
+from phrasefix.lm import NUMBER_MEMO_CAP, OOV_LOGPROB
 
 from conftest import random_word, synth_corpus
 
@@ -139,11 +139,43 @@ class TestParseArpa:
          "repeated 1-gram 'a'", 6),
         ("\\data\\\nngram 1=2\nngram 2=2\n\n\\1-grams:\n-0.3 a -0.1\n-0.3 b -0.1\n\n"
          "\\2-grams:\n-0.2 a b\n-0.5 a  b\n\n\\end\\\n", "repeated 2-gram 'a b'", 11),
+        # also when its numbers are the first entry's
+        ("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.3 a\n-0.3 a\n\n\\end\\\n",
+         "repeated 1-gram 'a'", 6),
+        ("\\data\\\nngram 1=2\nngram 2=2\n\n\\1-grams:\n-0.3 a -0.1\n-0.3 b -0.1\n\n"
+         "\\2-grams:\n-0.2 a b -0.1\n-0.2 a b -0.1\n\n\\end\\\n", "repeated 2-gram 'a b'", 11),
     ])
     def test_error_names_message_and_line(self, text, message, line_no):
         with pytest.raises(ValueError) as err:
             parse_arpa(text)
         assert str(err.value) == f"line {line_no}: {message}"
+
+    def test_signed_zeros_keep_their_sign(self):
+        # 0.0 and -0.0 are one dict key, but each must read and print as itself
+        text = ("\\data\\\nngram 1=3\nngram 2=2\n\n\\1-grams:\n0.0\ta\t-0.0\n"
+                "-0.0\tb\t0.0\n-0.5\tc\t-0.0\n\n\\2-grams:\n-0.0\ta b\n0.0\tb c\n\n\\end\\\n")
+        lm = parse_arpa(text)
+        signs = [math.copysign(1.0, value) for n in (1, 2)
+                 for entry in lm.tables[n].values() for value in entry[:3 - n]]
+        assert signs == [1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0, 1.0]
+        assert serialize_arpa(lm) == text
+
+    def test_numbers_past_the_memo_cap(self):
+        # more distinct numbers than one call keeps converted, each written
+        # twice (one unigram's logprob, and the backoff of another half the
+        # section on), so numbers past the cap repeat too
+        count = NUMBER_MEMO_CAP + 500
+        values = [-(i + 1) / 7 for i in range(count)]
+        unigrams = {(f"w{i:05d}",): (values[i], values[(i + count // 2) % count])
+                    for i in range(count)}
+        text = serialize_arpa(LanguageModel({1: unigrams, 2: {("w00000", "w00001"): (-0.5, 0.0)}}))
+        lm = parse_arpa(text)
+        for line in text.splitlines()[5:5 + count]:
+            fields = line.split("\t")
+            entry = lm.tables[1][(fields[1],)]
+            assert entry == (float(fields[0]), float(fields[2]))
+            assert all(type(value) is float for value in entry)
+        assert serialize_arpa(lm) == text
 
     def test_accepts_spaces_and_tabs(self):
         tabbed = parse_arpa("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.3\ta\n\n\\end\\\n")
