@@ -201,11 +201,9 @@ class SpanScores:
 
     def values(self, slots: Iterable[int]) -> list[float]:
         """The combined score of each of ``slots``, in their order."""
-        # sum() as in the reference mean: from Python 3.12 it rounds
-        # differently from chained +, and stage-1 ties sort on the last bit;
         # f1 is in [0, 1] because each word's term d / max(|p|, |r|) is
         n, w = self.n, 1.0 / 3
         totals, matched, order = self.totals, self.matched, self.order
         shares = [w * (m / n) for m in range(n + 1)]  # f2's share per count
-        return [sum((w * (1.0 - totals[slot] / n), shares[matched[slot]], order[slot]))
+        return [w * (1.0 - totals[slot] / n) + shares[matched[slot]] + order[slot]
                 for slot in slots]

@@ -48,7 +48,10 @@ def bleu(candidates: Sequence[Sequence[str]],
             denom[n - 1] += t
     if 0 in numer:  # a zero denominator has a zero numerator
         return 0.0
-    log_mean = sum(math.log(m / t) for m, t in zip(numer, denom)) / MAX_N
+    log_total = 0.0
+    for m, t in zip(numer, denom):
+        log_total += math.log(m / t)
+    log_mean = log_total / MAX_N
     c_total = sum(map(len, candidates))
     r_total = sum(map(len, references))
     penalty = 1.0 if c_total > r_total else math.exp(1.0 - r_total / c_total)

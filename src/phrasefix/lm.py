@@ -251,7 +251,9 @@ def train_counts(corpus: Iterable[Iterable[str]], order: int) -> LanguageModel:
                 # such n-gram's suffix was counted too
                 lower = gram[1:]
                 lower_ctx, lower_mass = followers[lower], mass[lower]
-                seen_lower = sum(lower_ctx[w] / lower_mass for w in ctx)
+                seen_lower = 0.0
+                for w in ctx:
+                    seen_lower += lower_ctx[w] / lower_mass
                 backoff = math.log10(held_out / (1.0 - seen_lower))
             table[gram] = (math.log10(c / mass[gram[:-1]]), backoff)
         tables[n] = table

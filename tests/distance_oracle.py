@@ -93,6 +93,6 @@ def f3_word_order(p_tokens: Sequence[str], r_tokens: Sequence[str],
 def reference_score(p_tokens: Sequence[str], r_tokens: Sequence[str],
                     lexicon: dict[str, frozenset[str]]) -> float:
     """Equally weighted mean of f1, f2 and the LCS word-order component."""
-    parts = (f1_similarity(p_tokens, r_tokens), f2_synset(p_tokens, r_tokens, lexicon),
-             f3_word_order(p_tokens, r_tokens, ALIGN_THRESHOLD))
-    return sum((1.0 / 3) * v for v in parts)
+    w = 1.0 / 3
+    return (w * f1_similarity(p_tokens, r_tokens) + w * f2_synset(p_tokens, r_tokens, lexicon)
+            + w * f3_word_order(p_tokens, r_tokens, ALIGN_THRESHOLD))

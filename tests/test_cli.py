@@ -22,12 +22,14 @@ def write_lines(path, sentences):
 
 def run_with_collector(enabled, argv):
     """``main(argv)`` with the caller's collector on or off: the exit code,
-    and whether the collector was on and its freeze count after it."""
+    and whether the collector was on after it and how many objects the call
+    left frozen (some interpreters start with objects frozen)."""
     was = gc.isenabled()
+    frozen = gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
     try:
         code = main(argv)
-        after = gc.isenabled(), gc.get_freeze_count()
+        after = gc.isenabled(), gc.get_freeze_count() - frozen
     finally:
         (gc.enable if was else gc.disable)()
     return code, after
